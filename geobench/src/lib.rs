@@ -25,10 +25,16 @@ pub struct Metric {
 }
 
 impl Metric {
-    /// A metric; panics on a non-finite value, which no JSON can carry.
+    /// A metric; panics on a value that is not finite and positive.  No
+    /// JSON can carry a non-finite value, and every metric the benchmark
+    /// reports is a time, a size, a count or a ratio of things that occur,
+    /// so zero or less means the measurement is meaningless.
     pub fn new(name: impl Into<String>, value: f64, unit: &'static str) -> Metric {
         let name = name.into();
-        assert!(value.is_finite(), "metric {name} is {value}");
+        assert!(
+            value.is_finite() && value > 0.0,
+            "metric {name} is {value}, not finite and positive"
+        );
         Metric { name, value, unit }
     }
 }

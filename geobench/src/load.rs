@@ -7,10 +7,12 @@
 //! falls behind shows its backlog in the apply latency.
 //!
 //! Reader batches are grouped by the window of the run in which they
-//! completed.  The host this runs on speeds up and slows down in phases of
-//! seconds; a per-window statistic's median over the windows is robust to a
-//! phase that covers less than half of the run, where a whole-run tail
-//! percentile is set by the slowest phase alone.
+//! completed, writer batches by the window they were due in.  The host this
+//! runs on is shared: other tenants slow it down in phases of seconds, and
+//! only ever add time.  The reported medians are the least of the windows'
+//! medians, the one least disturbed.  A change to the service moves every
+//! window, so it moves that least median too, while a slow phase that
+//! leaves any window of the run alone does not.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -25,8 +27,8 @@ use crate::workload::{reader_batch, rng, writer_batch, Sizes, Stream, Workload};
 /// the whole run: every `stride`-th, with `stride` doubling when full.
 const MAX_SAMPLES: usize = 64;
 
-/// Equal windows a run's reader batches are grouped into.
-pub const WINDOWS: usize = 5;
+/// Equal windows a run's reader and writer batches are grouped into.
+pub const WINDOWS: usize = 4;
 
 /// Reader batches that completed in one window.
 #[derive(Debug, Default, Clone)]
@@ -55,8 +57,9 @@ pub struct ReaderLog {
 /// What the writer did.
 #[derive(Debug, Default)]
 pub struct WriterLog {
-    /// Time from each batch's due time until `apply` returned, ms.
-    pub latency_ms: Vec<f64>,
+    /// Time from each batch's due time until `apply` returned, ms, grouped
+    /// by the window the batch was due in.
+    pub latency_ms: Vec<Vec<f64>>,
     /// Most batches due and not yet applied when a batch was issued,
     /// counting that batch.
     pub max_backlog: u64,
@@ -131,7 +134,11 @@ fn writer(
 ) -> WriterLog {
     let mut r = rng(seed, Stream::Writer);
     let period = Duration::from_secs_f64(1.0 / wl.writer_hz);
-    let mut out = WriterLog::default();
+    let mut out = WriterLog {
+        latency_ms: vec![Vec::new(); WINDOWS],
+        ..WriterLog::default()
+    };
+    let window = (end - start) / WINDOWS as u32;
     for j in 0u32.. {
         let due = start + period * j;
         if due >= end {
@@ -145,7 +152,8 @@ fn writer(
         let due_by_now = (start.elapsed().as_secs_f64() * wl.writer_hz) as u64 + 1;
         out.max_backlog = out.max_backlog.max(due_by_now.saturating_sub(j as u64));
         let report = catch_unwind(AssertUnwindSafe(|| svc.apply(&batch)));
-        out.latency_ms.push(due.elapsed().as_secs_f64() * 1e3);
+        let k = ((due - start).as_secs_f64() / window.as_secs_f64()) as usize;
+        out.latency_ms[k.min(WINDOWS - 1)].push(due.elapsed().as_secs_f64() * 1e3);
         match report {
             Ok(rep) if rep.published && rep.quarantined.is_empty() => {
                 out.updates += batch.updates.len() as u64;

@@ -17,16 +17,19 @@ use std::time::Instant;
 
 use geobench::load::{self, WINDOWS};
 use geobench::oracle::{self, PRELOAD_GEN};
-use geobench::stats::{median_over, percentile, result_json, rss_peak_mb};
+use geobench::stats::{percentile, result_json, rss_peak_mb, window_p50s};
 use geobench::workload::{
     reader_batch, rng, writer_batch, Preload, Sizes, Stream, Workload, SHARDS,
 };
 use geobench::{traced, Metric};
-use pwe_asym::cost::measure_default as measure;
+use pwe_asym::cost::{measure_default as measure, CostReport};
 use pwe_service::GeometryService;
 
-/// Preloads timed per run; `setup_s` is their median.
-const SETUP_REPS: usize = 3;
+/// Set-ups timed per run before the timed loop; `setup_s` is the median of
+/// these and the ones after it.
+const SETUPS_BEFORE: usize = 2;
+/// Set-ups timed per run after the timed loop.
+const SETUPS_AFTER: usize = 3;
 /// Writer batches of the quiescent cost-count epilogue.
 const EPILOGUE_APPLIES: usize = 8;
 /// Reader batches of the quiescent cost-count epilogue.
@@ -114,6 +117,17 @@ fn epilogue(svc: &GeometryService, wl: &Workload, sizes: Sizes, seed: u64, c: &m
     }
 }
 
+/// Time one set-up: a new service and the preload `apply`.  Returns the
+/// service, the seconds taken and the preload's counted cost.
+fn set_up(preload: &Preload, counts: &mut Counts) -> (GeometryService, f64, CostReport) {
+    let start = Instant::now();
+    let s = GeometryService::new(SHARDS);
+    let (report, cost) = measure(|| s.apply(&preload.batch));
+    let secs = start.elapsed().as_secs_f64();
+    counts.failed += u64::from(!report.published || report.gen_id != PRELOAD_GEN);
+    (s, secs, cost)
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -148,52 +162,56 @@ fn main() -> ExitCode {
     let preload = Preload::generate(args.seed, sizes);
     let elements = (sizes.intervals + sizes.points + sizes.sites) as f64;
 
-    // Set-up, timed several times; the first preloaded service also runs
-    // the quiescent epilogue, the last one serves the timed loop.
+    // Set-up is timed several times, before and after the timed loop, so
+    // that one slow phase of the host does not set the median.  The first
+    // preloaded service also runs the quiescent epilogue; the last one
+    // before the loop serves it.
     let mut counts = Counts::default();
-    let mut setup_s = Vec::with_capacity(SETUP_REPS);
+    let mut setup_s = Vec::with_capacity(SETUPS_BEFORE + SETUPS_AFTER);
     let mut svc = None;
-    for rep in 0..SETUP_REPS {
-        let start = Instant::now();
-        let s = GeometryService::new(SHARDS);
-        let (report, cost) = measure(|| s.apply(&preload.batch));
-        setup_s.push(start.elapsed().as_secs_f64());
-        counts.failed += u64::from(!report.published || report.gen_id != PRELOAD_GEN);
+    for rep in 0..SETUPS_BEFORE {
+        let (s, secs, cost) = set_up(&preload, &mut counts);
+        setup_s.push(secs);
         if rep == 0 {
             counts.setup_reads = cost.reads;
             counts.setup_writes = cost.writes;
             epilogue(&s, &wl, sizes, args.seed, &mut counts);
         }
-        if rep + 1 == SETUP_REPS {
-            svc = Some(s);
-        }
+        svc = Some(s);
     }
     let svc = svc.expect("at least one set-up");
 
-    let (reads, writes) = load::run(&svc, &wl, sizes, args.seed, args.seconds);
+    let (mut reads, mut writes) = load::run(&svc, &wl, sizes, args.seed, args.seconds);
     drop(svc);
-    let wrong = oracle::check(&preload, &writes.log, &reads.samples);
     let rss_mb = rss_peak_mb();
+    for _ in 0..SETUPS_AFTER {
+        setup_s.push(set_up(&preload, &mut counts).1);
+    }
+    let wrong = oracle::check(&preload, &writes.log, &reads.samples);
 
     let query_n: Vec<usize> = reads.windows.iter().map(|w| w.latency_us.len()).collect();
-    let attempted = (SETUP_REPS + EPILOGUE_APPLIES + EPILOGUE_BATCHES) as u64
-        + query_n.iter().sum::<usize>() as u64
-        + writes.latency_ms.len() as u64;
+    let apply_win_n: Vec<usize> = writes.latency_ms.iter().map(Vec::len).collect();
+    let batches: usize = query_n.iter().sum();
+    let apply_n: usize = apply_win_n.iter().sum();
+    let attempted =
+        (setup_s.len() + EPILOGUE_APPLIES + EPILOGUE_BATCHES + batches + apply_n) as u64;
     let failed = counts.failed + reads.failed + writes.failed + wrong;
-    let apply_n = writes.latency_ms.len();
-    // Reader statistics are medians over the run's windows (see `load`).
-    let mut windows = reads.windows;
-    let query_p50 = median_over(&mut windows, |w| percentile(&mut w.latency_us, 50.0));
-    let query_p90 = median_over(&mut windows, |w| percentile(&mut w.latency_us, 90.0));
-    let query_p99 = median_over(&mut windows, |w| percentile(&mut w.latency_us, 99.0));
-    let query_qps = median_over(&mut windows, |w| w.queries as f64 / reads.window_s);
-    let mut a = writes.latency_ms;
-    let apply_p50 = percentile(&mut a, 50.0);
-    let apply_p90 = percentile(&mut a, 90.0);
+    // Medians are the least of the windows' medians (see `load`); tails
+    // and throughput are over the whole run.
+    let query_by_window = window_p50s(reads.windows.iter_mut().map(|w| &mut w.latency_us));
+    let apply_by_window = window_p50s(writes.latency_ms.iter_mut());
+    let least = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
+    let mut q: Vec<f64> = reads
+        .windows
+        .iter()
+        .flat_map(|w| w.latency_us.clone())
+        .collect();
+    let queries: u64 = reads.windows.iter().map(|w| w.queries).sum();
+    let mut a: Vec<f64> = writes.latency_ms.concat();
     let metrics = vec![
         Metric::new("setup_s", percentile(&mut setup_s, 50.0), "s"),
-        Metric::new("query_p50_us", query_p50, "us"),
-        Metric::new("apply_p50_ms", apply_p50, "ms"),
+        Metric::new("query_p50_us", least(&query_by_window), "us"),
+        Metric::new("apply_p50_ms", least(&apply_by_window), "ms"),
         Metric::new("rss_peak_mb", rss_mb, "MB"),
         Metric::new(
             "setup_writes_per_elem",
@@ -226,37 +244,39 @@ fn main() -> ExitCode {
     // over ten seeds reached 0.3-0.5 of the median, beyond any usable bound.
     // They are reported, unbounded, with the per-layer metrics.
     let loop_metrics = [
-        Metric::new("query_p90_us", query_p90, "us"),
-        Metric::new("query_p99_us", query_p99, "us"),
-        Metric::new("query_qps", query_qps, "1/s"),
-        Metric::new("apply_p90_ms", apply_p90, "ms"),
+        Metric::new("query_p90_us", percentile(&mut q, 90.0), "us"),
+        Metric::new("query_p99_us", percentile(&mut q, 99.0), "us"),
+        Metric::new("query_qps", queries as f64 / args.seconds, "1/s"),
+        Metric::new("apply_p90_ms", percentile(&mut a, 90.0), "ms"),
         Metric::new("writer.max_backlog", writes.max_backlog as f64, "count"),
         Metric::new("service.gens_observed", reads.gens.len() as f64, "count"),
-        Metric::new(
-            "query_samples",
-            query_n.iter().sum::<usize>() as f64,
-            "count",
-        ),
+        Metric::new("query_samples", batches as f64, "count"),
         Metric::new("apply_samples", apply_n as f64, "count"),
     ];
     println!(
-        "# samples: setup={SETUP_REPS} query_batches={query_n:?} applies={apply_n} \
-         oracle_batches={} epilogue_applies={EPILOGUE_APPLIES} epilogue_batches={EPILOGUE_BATCHES}",
+        "# samples: setup={} query_batches={batches} applies={apply_n} oracle_batches={} \
+         epilogue_applies={EPILOGUE_APPLIES} epilogue_batches={EPILOGUE_BATCHES}",
+        setup_s.len(),
         reads.samples.len()
     );
-    if query_n.iter().any(|&n| n < 1000) || apply_n < 100 {
-        println!("# warning: a window has fewer than 1000 query batches or the run fewer than 100 applies; p99/p90 rest on <10 samples beyond them");
+    println!("# query p50 by window (us): {query_by_window:?} n={query_n:?}");
+    println!("# apply p50 by window (ms): {apply_by_window:?} n={apply_win_n:?}");
+    if batches < 1000 || apply_n < 100 {
+        println!(
+            "# warning: fewer than 1000 query batches or 100 applies; \
+             p99 or p90 rests on fewer than 10 samples beyond it"
+        );
     }
     println!(
         "# fail_ratio = {} ({failed}/{attempted}; oracle wrong={wrong})",
         failed as f64 / attempted as f64,
     );
     let samples_of = |name: &str| match name {
-        "setup_s" => format!(" (median of n={SETUP_REPS})"),
-        "query_p50_us" | "query_p90_us" | "query_p99_us" | "query_qps" => {
-            format!(" (median of {WINDOWS} windows, n={query_n:?})")
-        }
-        "apply_p50_ms" | "apply_p90_ms" => format!(" (n={apply_n})"),
+        "setup_s" => format!(" (median of n={})", setup_s.len()),
+        "query_p50_us" => format!(" (least of {WINDOWS} window medians, n={query_n:?})"),
+        "apply_p50_ms" => format!(" (least of {WINDOWS} window medians, n={apply_win_n:?})"),
+        "query_p90_us" | "query_p99_us" | "query_qps" => format!(" (n={batches})"),
+        "apply_p90_ms" => format!(" (n={apply_n})"),
         _ => String::new(),
     };
     for m in metrics.iter().chain(&loop_metrics) {
@@ -266,13 +286,6 @@ fn main() -> ExitCode {
     let (metrics, attempted, failed) = if args.trace {
         let t = traced::run(&wl, &preload, args.seed);
         let mut per_layer = t.metrics;
-        let traced_p50 = per_layer
-            .iter()
-            .find(|m| m.name == "trace.query_p50_us")
-            .expect("the traced run reports its batch latency")
-            .value;
-        let ratio = traced_p50 / query_p50;
-        per_layer.push(Metric::new("trace.query_p50_ratio", ratio, "ratio"));
         for m in &per_layer {
             println!("{} = {} {}", m.name, m.value, m.unit);
         }

@@ -10,10 +10,12 @@ pub fn percentile(values: &mut [f64], pct: f64) -> f64 {
     values[rank.clamp(1, values.len()) - 1]
 }
 
-/// Median over `items` of a statistic of each.
-pub fn median_over<T>(items: &mut [T], stat: impl FnMut(&mut T) -> f64) -> f64 {
-    let mut values: Vec<f64> = items.iter_mut().map(stat).collect();
-    percentile(&mut values, 50.0)
+/// The median of each window that holds a sample.
+pub fn window_p50s<'a>(windows: impl Iterator<Item = &'a mut Vec<f64>>) -> Vec<f64> {
+    windows
+        .filter(|w| !w.is_empty())
+        .map(|w| percentile(w, 50.0))
+        .collect()
 }
 
 /// Peak resident memory of this process (`VmHWM`), MB.

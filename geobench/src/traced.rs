@@ -14,6 +14,10 @@
 //! at the same parallelism.  Spans accumulate in memory and are reported at
 //! the end.  Only the whole-batch `serve` that gives the traced batch
 //! latency runs on the pool, as in the untraced run.
+//!
+//! The tracing overhead, `trace.query_p50_ratio`, compares that traced
+//! batch latency with its twin: the same apply and serve sequence on a
+//! second, identically preloaded service, with no span taken in between.
 
 use std::time::Instant;
 
@@ -37,18 +41,22 @@ use crate::workload::{
 };
 use crate::Metric;
 
-/// Seed of the k-d tree build inside `ShardGen::build` (private there);
-/// only the timed `kdtree` child span uses it.
-const KD_SEED: u64 = 0x5EED_001D;
-/// Seed of the Delaunay build inside `MeshGen::build` (private there); only
-/// the timed `delaunay` child span uses it.
-const MESH_SEED: u64 = 0x5EED_00DE;
+/// Seed of the k-d tree build inside `ShardGen::build`, a private constant
+/// there; only the timed `kdtree` child span uses it.  The benchmark's
+/// tests check that it agrees ([`shard_child_counts`]).
+pub const KD_SEED: u64 = 0x5EED_001D;
+/// Seed of the Delaunay build inside `MeshGen::build`, a private constant
+/// there; only the timed `delaunay` child span uses it.  The benchmark's
+/// tests check that it agrees ([`mesh_child_counts`]).
+pub const MESH_SEED: u64 = 0x5EED_00DE;
 
 /// Reader batches the traced run serves, the first of the reader stream.
 const TRACE_READER_BATCHES: usize = 240;
 /// Writer batches the traced run applies, the first of the writer stream,
 /// spread evenly between the reader batches.
 const TRACE_WRITER_BATCHES: usize = 12;
+/// Reader batches between two traced writer batches.
+const WRITE_EVERY: usize = TRACE_READER_BATCHES / TRACE_WRITER_BATCHES;
 /// Empty-batch serves timed for the pin cost.
 const PIN_PROBES: usize = 2000;
 /// Queries of each kind the workload's reader does not send, so that every
@@ -97,8 +105,8 @@ impl Build {
 }
 
 /// Build one shard's four structures exactly as `ShardGen::try_build`
-/// does, one child span each, and drop them.
-fn build_shard_layers(d: &ShardData, acc: &mut [Build; 4]) {
+/// does, the k-d tree from `kd_seed`, one child span each, and drop them.
+fn build_shard_layers(d: &ShardData, kd_seed: u64, acc: &mut [Build; 4]) {
     with_sequential(|| {
         let (_, c) = measure(|| IntervalTree::build_parallel(&d.intervals, SERVICE_ALPHA));
         acc[0].add(&c, d.intervals.len());
@@ -116,9 +124,25 @@ fn build_shard_layers(d: &ShardData, acc: &mut [Build; 4]) {
         acc[2].add(&c, ps.len());
         let pts: Vec<Point2> = d.points.iter().map(|p| p.point).collect();
         let p = recommended_p(pts.len());
-        let (_, c) = measure(|| build_p_batched(&pts, p, KD_LEAF_CAPACITY, KD_SEED));
+        let (_, c) = measure(|| build_p_batched(&pts, p, KD_LEAF_CAPACITY, kd_seed));
         acc[3].add(&c, pts.len());
     });
+}
+
+/// Counted `(reads, writes)` of the child-span builds of one shard, the k-d
+/// tree built from `kd_seed`.
+pub fn shard_child_counts(d: &ShardData, kd_seed: u64) -> (u64, u64) {
+    let mut acc = [Build::default(); 4];
+    build_shard_layers(d, kd_seed, &mut acc);
+    acc.iter()
+        .fold((0, 0), |(r, w), b| (r + b.reads, w + b.writes))
+}
+
+/// Counted `(reads, writes)` of the `delaunay` child-span build of `sites`
+/// from `seed`.
+pub fn mesh_child_counts(sites: &[GridPoint], seed: u64) -> (u64, u64) {
+    let (_, c) = with_sequential(|| measure(|| triangulate_write_efficient(sites, seed)));
+    (c.reads, c.writes)
 }
 
 /// The benchmark's own copy of the service's shards.
@@ -170,6 +194,7 @@ struct KindSpans {
     serve_secs: f64,
     reads: u64,
     shard_secs: f64,
+    merge_secs: f64,
     shards_queried: u64,
     shards_useful: u64,
     ids: u64,
@@ -180,7 +205,8 @@ struct KindSpans {
 struct WriterSpans {
     applies: u64,
     updates: u64,
-    apply_secs: f64,
+    /// The apply's own work besides the rebuilds, see [`Tracer::apply`].
+    self_secs: f64,
     gen_secs: f64,
     gen_reads: u64,
     gen_writes: u64,
@@ -202,20 +228,39 @@ struct Tracer<'a> {
     failed: u64,
 }
 
+/// A query's child spans on the replica.
+struct ReplicaAnswer {
+    /// The canonical merged answer.
+    answer: Answer,
+    /// Summed time of the per-shard (or mesh) calls.
+    shard_secs: f64,
+    /// Time of the cross-shard merge: concatenating and sorting the id
+    /// lists, or picking the least `(dist², id)` hit.  Zero for locate,
+    /// which reads the one replicated mesh and merges nothing.
+    merge_secs: f64,
+    /// Shards queried.
+    queried: u64,
+    /// Shards whose partial answer was non-empty.
+    useful: u64,
+}
+
 /// Issue `q` to every replica shard (or the replica mesh) and merge as the
-/// service does.  Returns the canonical answer, the summed time of the
-/// per-shard calls, and how many shards were queried and answered
-/// non-empty.
-fn replica_answer(r: &Replica, q: &Query) -> (Answer, f64, u64, u64) {
+/// service's `answer_one` does, timing the shard calls and the merge apart.
+fn replica_answer(r: &Replica, q: &Query) -> ReplicaAnswer {
     if let Query::Locate { x, y } = *q {
         let start = Instant::now();
         let hit = r.mesh.locate(GridPoint { x, y });
-        let secs = start.elapsed().as_secs_f64();
-        return (Answer::Located(hit), secs, 1, u64::from(hit.is_some()));
+        return ReplicaAnswer {
+            answer: Answer::Located(hit),
+            shard_secs: start.elapsed().as_secs_f64(),
+            merge_secs: 0.0,
+            queried: 1,
+            useful: u64::from(hit.is_some()),
+        };
     }
-    let mut ids: Vec<u64> = Vec::new();
-    let mut best: Option<NearestHit> = None;
-    let (mut secs, mut useful) = (0.0, 0);
+    let mut parts: Vec<Vec<u64>> = Vec::with_capacity(r.gens.len());
+    let mut hits: Vec<NearestHit> = Vec::new();
+    let mut shard_secs = 0.0;
     for g in &r.gens {
         let start = Instant::now();
         let part = match *q {
@@ -223,28 +268,38 @@ fn replica_answer(r: &Replica, q: &Query) -> (Answer, f64, u64, u64) {
             Query::Range2D { rect } => g.range2d(&rect),
             Query::ThreeSided { x_lo, x_hi, y_bot } => g.three_sided(x_lo, x_hi, y_bot),
             Query::Nearest { x, y } => {
-                let hit = g.nearest(x, y);
-                if let Some(h) = hit {
-                    if best.is_none_or(|b| (h.dist2, h.id) < (b.dist2, b.id)) {
-                        best = Some(h);
-                    }
-                }
-                hit.map(|h| h.id).into_iter().collect()
+                hits.extend(g.nearest(x, y));
+                Vec::new()
             }
             Query::Locate { .. } => unreachable!("answered from the mesh"),
         };
-        secs += start.elapsed().as_secs_f64();
-        useful += u64::from(!part.is_empty());
-        ids.extend_from_slice(&part);
+        shard_secs += start.elapsed().as_secs_f64();
+        parts.push(part);
     }
+    let useful = match q {
+        Query::Nearest { .. } => hits.len(),
+        _ => parts.iter().filter(|p| !p.is_empty()).count(),
+    } as u64;
+    let start = Instant::now();
     let answer = match q {
-        Query::Nearest { .. } => Answer::Nearest(best),
+        Query::Nearest { .. } => Answer::Nearest(
+            hits.into_iter()
+                .min_by(|a, b| a.dist2.total_cmp(&b.dist2).then(a.id.cmp(&b.id))),
+        ),
         _ => {
+            let mut ids = parts.concat();
             ids.sort_unstable();
             Answer::Ids(ids)
         }
     };
-    (answer, secs, r.gens.len() as u64, useful)
+    let merge_secs = start.elapsed().as_secs_f64();
+    ReplicaAnswer {
+        answer,
+        shard_secs,
+        merge_secs,
+        queried: r.gens.len() as u64,
+        useful,
+    }
 }
 
 impl Tracer<'_> {
@@ -257,26 +312,33 @@ impl Tracer<'_> {
             replica_answer(&self.replica, q)
         });
         let (served, c) = with_sequential(|| measure(|| self.svc.serve(&batch)));
-        let (want, shard_secs, queried, useful) =
-            with_sequential(|| replica_answer(&self.replica, q));
+        let child = with_sequential(|| replica_answer(&self.replica, q));
         let acc = &mut self.kinds[kind_of(q)];
         acc.queries += 1;
         acc.serve_secs += c.elapsed.as_secs_f64();
         acc.reads += c.reads;
-        acc.shard_secs += shard_secs;
-        acc.shards_queried += queried;
-        acc.shards_useful += useful;
-        if let Answer::Ids(ids) = &want {
+        acc.shard_secs += child.shard_secs;
+        acc.merge_secs += child.merge_secs;
+        acc.shards_queried += child.queried;
+        acc.shards_useful += child.useful;
+        if let Answer::Ids(ids) = &child.answer {
             acc.ids += ids.len() as u64;
         }
         self.attempted += 1;
-        if served.degraded || served.answers != [want] {
+        if served.degraded || served.answers != [child.answer] {
             self.failed += 1;
         }
     }
 
+    /// Apply `batch` and take its child spans: each dirty shard's rebuild,
+    /// and the apply's self time measured directly, as the sum of the
+    /// replica's identical mutation of its shard data, the free of each
+    /// replaced shard, and an apply with no updates (assembly, publish and
+    /// reclaim).  The self time is a few percent of the apply, so parent
+    /// minus children, two separately timed spans, would be mostly noise
+    /// and could go negative.
     fn apply(&mut self, batch: &UpdateBatch) {
-        let (report, c) = with_sequential(|| measure(|| self.svc.apply(batch)));
+        let report = with_sequential(|| self.svc.apply(batch));
         self.attempted += 1;
         if !report.published || !report.quarantined.is_empty() {
             self.failed += 1;
@@ -284,21 +346,58 @@ impl Tracer<'_> {
         let w = &mut self.writer;
         w.applies += 1;
         w.updates += batch.updates.len() as u64;
-        w.apply_secs += c.elapsed.as_secs_f64();
         let r = &mut self.replica;
+        let start = Instant::now();
         let dirty = route(&r.router, &mut r.data, batch);
+        w.self_secs += start.elapsed().as_secs_f64();
         for (s, _) in dirty.iter().enumerate().filter(|(_, &d)| d) {
             let d = &r.data[s];
             let (g, c) = with_sequential(|| measure(|| ShardGen::build(d)));
             w.gen_secs += c.elapsed.as_secs_f64();
             w.gen_reads += c.reads;
             w.gen_writes += c.writes;
-            build_shard_layers(d, &mut w.layers);
+            build_shard_layers(d, KD_SEED, &mut w.layers);
             w.shards += 1;
             w.elems += (d.intervals.len() + d.points.len()) as u64;
-            r.gens[s] = g;
+            let old = std::mem::replace(&mut r.gens[s], g);
+            let start = Instant::now();
+            drop(old);
+            w.self_secs += start.elapsed().as_secs_f64();
         }
+        let start = Instant::now();
+        let fixed = with_sequential(|| self.svc.apply(&UpdateBatch::default()));
+        w.self_secs += start.elapsed().as_secs_f64();
+        self.attempted += 1;
+        self.failed += u64::from(!fixed.published);
     }
+}
+
+/// Serve `batch` whole, on the pool as the untraced run does; returns its
+/// latency, µs.
+fn timed_serve(svc: &GeometryService, batch: &QueryBatch) -> f64 {
+    let start = Instant::now();
+    std::hint::black_box(svc.serve(batch));
+    start.elapsed().as_secs_f64() * 1e6
+}
+
+/// The traced pass's apply and serve sequence on a service of its own, with
+/// no span taken between the calls; returns each batch's latency, µs.
+fn plain_pass(wl: &Workload, preload: &Preload, seed: u64) -> Vec<f64> {
+    let svc = GeometryService::new(SHARDS);
+    svc.apply(&preload.batch);
+    let mut reader = rng(seed, Stream::Reader);
+    let mut writer = rng(seed, Stream::Writer);
+    let mut batch_us = Vec::with_capacity(TRACE_READER_BATCHES);
+    for i in 0..TRACE_READER_BATCHES {
+        if i % WRITE_EVERY == 0 {
+            with_sequential(|| svc.apply(&writer_batch(&mut writer, wl, preload.sizes)));
+        }
+        batch_us.push(timed_serve(
+            &svc,
+            &reader_batch(&mut reader, wl, preload.sizes),
+        ));
+    }
+    batch_us
 }
 
 /// Result of the traced run.
@@ -325,7 +424,7 @@ pub fn run(wl: &Workload, preload: &Preload, seed: u64) -> Traced {
     route(&router, &mut data, &preload.batch);
     let mut builds = [Build::default(); 4];
     for d in &data {
-        build_shard_layers(d, &mut builds);
+        build_shard_layers(d, KD_SEED, &mut builds);
     }
     let mut mesh_build = Build::default();
     let (_, c) =
@@ -372,17 +471,17 @@ pub fn run(wl: &Workload, preload: &Preload, seed: u64) -> Traced {
     }
     let pin_us = pin_secs / PIN_PROBES as f64 * 1e6;
 
+    // The same batch sequence, once on an identical service with no spans
+    // interleaved, gives the untraced twin of the traced batch latency.
+    let mut untraced_us = plain_pass(wl, preload, seed);
     let mut reader = rng(seed, Stream::Reader);
     let mut writer = rng(seed, Stream::Writer);
-    let every = TRACE_READER_BATCHES / TRACE_WRITER_BATCHES;
     for i in 0..TRACE_READER_BATCHES {
-        if i % every == 0 {
+        if i % WRITE_EVERY == 0 {
             t.apply(&writer_batch(&mut writer, wl, sizes));
         }
         let batch = reader_batch(&mut reader, wl, sizes);
-        let start = Instant::now();
-        std::hint::black_box(svc.serve(&batch));
-        t.batch_us.push(start.elapsed().as_secs_f64() * 1e6);
+        t.batch_us.push(timed_serve(&svc, &batch));
         for q in &batch.queries {
             t.query(q);
         }
@@ -400,8 +499,7 @@ pub fn run(wl: &Workload, preload: &Preload, seed: u64) -> Traced {
     for (name, b) in SHARD_LAYERS.iter().zip(&w.layers) {
         put(format!("{name}.rebuild_ms"), per_apply(b.secs), "ms");
     }
-    let self_secs = w.apply_secs - w.gen_secs;
-    put("service.apply.self_ms".into(), per_apply(self_secs), "ms");
+    put("service.apply.self_ms".into(), per_apply(w.self_secs), "ms");
     let shards = w.shards as f64 / w.applies as f64;
     put(
         "gen.shards_rebuilt_per_batch".into(),
@@ -430,8 +528,10 @@ pub fn run(wl: &Workload, preload: &Preload, seed: u64) -> Traced {
         let serve_us = acc.serve_secs / n * 1e6;
         let shard_us = acc.shard_secs / n * 1e6;
         put(format!("service.serve.{name}.us"), serve_us, "us");
-        let merge_us = serve_us - pin_us - shard_us;
-        put(format!("service.merge.{name}.us"), merge_us, "us");
+        if name != "locate" {
+            let merge_us = acc.merge_secs / n * 1e6;
+            put(format!("service.merge.{name}.us"), merge_us, "us");
+        }
         put(QUERY_LAYER_SPANS[k].into(), shard_us, "us");
         let useful = acc.shards_useful as f64 / acc.shards_queried as f64;
         put(format!("router.{name}.useful_shard_ratio"), useful, "ratio");
@@ -444,11 +544,10 @@ pub fn run(wl: &Workload, preload: &Preload, seed: u64) -> Traced {
             put(format!("{name}.ns_per_id"), ns, "ns/id");
         }
     }
-    put(
-        "trace.query_p50_us".into(),
-        percentile(&mut t.batch_us, 50.0),
-        "us",
-    );
+    let traced_p50 = percentile(&mut t.batch_us, 50.0);
+    put("trace.query_p50_us".into(), traced_p50, "us");
+    let ratio = traced_p50 / percentile(&mut untraced_us, 50.0);
+    put("trace.query_p50_ratio".into(), ratio, "ratio");
     Traced {
         metrics: m,
         attempted: t.attempted,

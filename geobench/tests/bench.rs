@@ -4,14 +4,18 @@
 //!   other;
 //! * the five counted-cost metrics repeat exactly across runs and across
 //!   pool widths 1 and 2;
-//! * the oracle rejects a corrupted answer.
+//! * the oracle rejects a corrupted answer;
+//! * the traced run's child-span builds are the service's own builds.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 use geobench::oracle::{check, Sample, PRELOAD_GEN};
+use geobench::traced::{mesh_child_counts, shard_child_counts, KD_SEED, MESH_SEED};
 use geobench::workload::{reader_batch, rng, Preload, Sizes, Stream, Workload, SHARDS, WORKLOADS};
-use pwe_service::{Answer, GeometryService, NearestHit};
+use pwe_asym::cost::measure_default as measure;
+use pwe_service::gen::{rt_point, MeshGen, ShardData, ShardGen};
+use pwe_service::{Answer, GeometryService, NearestHit, Update};
 
 /// A minimal JSON value, enough for `BENCHMARK.json` and the result line
 /// (no string escapes occur in either).
@@ -279,4 +283,46 @@ fn oracle_rejects_a_corrupted_answer() {
     let mut wrong_gen = good.clone();
     wrong_gen.answers.gen_id += 1;
     assert_eq!(check(&preload, &[], &[wrong_gen]), 1);
+}
+
+/// The `kdtree` and `delaunay` child spans rebuild with copies of seeds that
+/// are private to `pwe_service::gen`.  Builds count their reads and writes
+/// exactly, so equal counts show that the child spans report the service's
+/// own counted cost.  The Delaunay counts depend on the seed, so for the mesh
+/// they also show that the copied seed still agrees; the k-d tree's counts do
+/// not, so a drift of its seed could move only the `kdtree` span's time.
+#[test]
+fn child_span_builds_match_the_service_builds() {
+    let preload = Preload::generate(5, Sizes::TOY);
+    let mut d = ShardData::default();
+    for u in &preload.batch.updates {
+        match *u {
+            Update::InsertInterval(iv) => d.intervals.push(iv),
+            Update::InsertPoint { x, y, id } => d.points.push(rt_point(x, y, id)),
+            _ => {}
+        }
+    }
+    // Both services build an id map from a seeded permutation of their n
+    // elements besides the structures: n reads and 2n writes.
+    let with_perm = |(r, w): (u64, u64), n: usize| (r + n as u64, w + 2 * n as u64);
+
+    let (_, whole) = measure(|| ShardGen::build(&d));
+    let children = shard_child_counts(&d, KD_SEED);
+    assert_eq!(
+        (whole.reads, whole.writes),
+        with_perm(children, d.points.len())
+    );
+
+    let ids: Vec<u64> = (0..preload.sites.len() as u64).collect();
+    let (_, whole) = measure(|| MeshGen::build(&preload.sites, &ids));
+    let child = mesh_child_counts(&preload.sites, MESH_SEED);
+    assert_eq!(
+        (whole.reads, whole.writes),
+        with_perm(child, preload.sites.len())
+    );
+    assert_ne!(
+        mesh_child_counts(&preload.sites, MESH_SEED ^ 1),
+        child,
+        "counts see the seed"
+    );
 }
