@@ -2,8 +2,8 @@
 //!
 //! The paper reports, for every algorithm, the expected *work* in the
 //! Asymmetric NP model together with the number of *writes* and the *depth*.
-//! [`measure`] runs a closure, diffs the global counters and the depth
-//! tracker around it, and returns a [`CostReport`] holding exactly those
+//! [`measure`] runs a closure, diffs the calling task tree's counters and
+//! depth around it, and returns a [`CostReport`] holding exactly those
 //! quantities (plus wall-clock time, which the paper does not use but which
 //! the benchmark harness prints for context).
 
@@ -137,9 +137,9 @@ impl std::fmt::Display for CostReport {
 /// Run `f`, measuring the reads, writes, depth and wall-clock time it records.
 ///
 /// Measurement nests: an outer `measure` around several inner ones sees the
-/// sum of their counts.  Because the counters are global, concurrent
-/// *unrelated* instrumented work would also be counted — the benchmark
-/// harness runs one measured region at a time.
+/// sum of their counts.  The counts are those of the calling thread's task
+/// tree (see [`crate::counters`]): `f` and every pool job it forks, and
+/// nothing that other threads run concurrently.
 pub fn measure<T>(omega: Omega, f: impl FnOnce() -> T) -> (T, CostReport) {
     let before = CounterSnapshot::now();
     let depth_before = depth::accumulated();

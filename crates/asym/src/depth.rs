@@ -16,40 +16,40 @@
 //!   chain of dependent operations (for instance tracing a point down the
 //!   history DAG), contributes the **maximum** chain length over the items.
 //!   [`RoundDepth`] collects that maximum with a relaxed atomic and commits
-//!   it to the global accumulator.  When the per-item chain lengths are a
+//!   it to the accumulator.  When the per-item chain lengths are a
 //!   deterministic function of the round's data (as in the engine), the max
 //!   can equivalently be folded while the round's results are consumed —
 //!   either way the committed value is schedule-independent.
 //!
-//! The global accumulator is diffed by [`crate::cost::measure`], so a
+//! The accumulator lives in the calling task tree's ledger (see
+//! [`crate::counters`]) and is diffed by [`crate::cost::measure`], so a
 //! [`crate::cost::CostReport`] carries the total depth of the measured region
 //! (sequential composition adds; parallel composition inside a round takes a
-//! max through `RoundDepth`).
+//! max through `RoundDepth`) and nothing from unrelated concurrent work.
 //!
 //! ## Composing over `join`
 //!
 //! Fork-join branches compose in parallel: the span of
 //! `par_join(a, b)` is `max(span(a), span(b))`, not their sum.  Since the
 //! pool behind `rayon` executes branches on real threads, summing every
-//! branch's [`add`] calls into the global accumulator would report the
+//! branch's [`add`] calls into one accumulator would report the
 //! *work-series* depth, not the span.  Instead, [`with_span`] runs a closure
 //! under a thread-local **span scope** that captures the closure's `add`
 //! calls; `pwe_asym::parallel::par_join` measures both branches this way and
 //! commits only the maximum to the enclosing scope (or, at the outermost
-//! join, to the global accumulator).  Scopes follow the task, not the
-//! thread: the pool's task hooks ([`install_rayon_task_hooks`]) save and
-//! clear the executing thread's scope around every stolen job, so depth
+//! join, to the ledger's accumulator).  Scopes follow the task, not the
+//! thread: the pool's task hooks ([`crate::counters::install_task_hooks`])
+//! save and clear the executing thread's scope around every stolen job, so depth
 //! recorded by an unrelated task a waiting thread picks up never leaks into
 //! the waiter's span.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Once;
 
-static ACCUMULATED: AtomicU64 = AtomicU64::new(0);
+use crate::counters::current_ledger;
 
 /// Thread-local span scope: when active, [`add`] accumulates here instead of
-/// in the global counter, and the enclosing `par_join` decides how the value
+/// in the ledger, and the enclosing `par_join` decides how the value
 /// composes (max with the sibling branch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SpanScope {
@@ -70,7 +70,7 @@ thread_local! {
 ///
 /// Inside a [`with_span`] scope (i.e. inside a `par_join` branch) the units
 /// accumulate into that branch's span; otherwise they go straight to the
-/// global accumulator.
+/// current task tree's accumulator.
 #[inline]
 pub fn add(d: u64) {
     if d == 0 {
@@ -83,7 +83,7 @@ pub fn add(d: u64) {
             acc: scope.acc + d,
         });
     } else {
-        ACCUMULATED.fetch_add(d, Ordering::Relaxed);
+        current_ledger().depth.fetch_add(d, Ordering::Relaxed);
     }
 }
 
@@ -119,29 +119,22 @@ fn unpack_scope(token: u64) -> SpanScope {
     }
 }
 
-fn task_enter() -> u64 {
+/// Save and clear the executing thread's span scope before a pool job, so a
+/// thread that steals an unrelated job while waiting inside a `join` does
+/// not mix that job's depth into its own active span.
+pub(crate) fn task_enter() -> u64 {
     pack_scope(SCOPE.replace(NO_SCOPE))
 }
 
-fn task_exit(token: u64) {
+/// Restore the scope saved by [`task_enter`] after the job.
+pub(crate) fn task_exit(token: u64) {
     SCOPE.set(unpack_scope(token));
 }
 
-/// Register the span-scope save/restore pair as the pool's task hooks, so a
-/// thread that steals an unrelated job while waiting inside a `join` does
-/// not mix that job's depth into its own active span.  Idempotent; called by
-/// `pwe_asym::parallel` before its first fork.
-pub fn install_rayon_task_hooks() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        rayon::set_task_hooks(task_enter, task_exit);
-    });
-}
-
-/// Total depth accumulated since process start.
+/// Total depth accumulated by the calling thread's task tree.
 #[inline]
 pub fn accumulated() -> u64 {
-    ACCUMULATED.load(Ordering::Relaxed)
+    current_ledger().depth.load(Ordering::Relaxed)
 }
 
 /// Ceiling of `log2(n)` for `n ≥ 1`; `0` for `n ∈ {0, 1}`.
@@ -187,8 +180,7 @@ impl RoundDepth {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// Commit the round's depth (its maximum chain) to the global accumulator
-    /// and return it.
+    /// Commit the round's depth (its maximum chain) via [`add`] and return it.
     pub fn commit(self) -> u64 {
         let d = self.max.load(Ordering::Relaxed);
         add(d);
@@ -197,7 +189,7 @@ impl RoundDepth {
 }
 
 /// A named depth tracker for algorithms that want to both contribute to the
-/// global accumulator and report a per-phase breakdown.
+/// depth accumulator and report a per-phase breakdown.
 #[derive(Debug, Default, Clone)]
 pub struct DepthTracker {
     phases: Vec<(String, u64)>,
@@ -209,7 +201,7 @@ impl DepthTracker {
         DepthTracker { phases: Vec::new() }
     }
 
-    /// Record a phase: adds `depth` to the global accumulator and remembers
+    /// Record a phase: adds `depth` via [`add`] and remembers
     /// the per-phase value under `name`.
     pub fn phase(&mut self, name: &str, depth: u64) {
         add(depth);

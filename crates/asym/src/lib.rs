@@ -11,9 +11,9 @@
 //! read/write/work/depth bounds of its theorems.  This crate is therefore the
 //! substrate that the rest of the workspace is measured against:
 //!
-//! * [`counters`] — global, thread-safe read/write counters.  Algorithms call
-//!   [`record_read`]/[`record_write`] (or use the [`tracked::TrackedVec`]
-//!   wrapper) at exactly the points where the paper charges an access to the
+//! * [`counters`] — thread-safe read/write counters, kept per task tree.
+//!   Algorithms call [`record_read`]/[`record_write`] (or use the
+//!   [`tracked::TrackedVec`] wrapper) at exactly the points where the paper charges an access to the
 //!   large asymmetric memory.
 //! * [`cost`] — [`cost::Omega`], [`cost::CostReport`] and [`cost::measure`]:
 //!   scoped measurement that turns the raw counters into the

@@ -10,7 +10,7 @@
 
 use crate::counters::{record_read, record_reads, record_write, record_writes};
 
-/// A `Vec<T>` whose element reads and writes are charged to the global
+/// A `Vec<T>` whose element reads and writes are charged to the
 /// asymmetric-memory counters.
 ///
 /// Only *element* accesses performed through the tracking methods are

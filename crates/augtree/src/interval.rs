@@ -39,8 +39,9 @@
 
 use pwe_asym::counters::{record_read, record_reads, record_writes};
 use pwe_asym::depth;
+use pwe_asym::smallmem::TaskScratch;
 use pwe_geom::interval::Interval;
-use pwe_primitives::layout::{BlockedTree, NO_NODE};
+use pwe_primitives::layout::{BlockedTree, FlatView, NodeSource};
 use pwe_primitives::racecheck;
 use pwe_primitives::search::{branchless_partition_point, branchless_search_by_key};
 use pwe_sort_shim::sort_f64_keys;
@@ -206,16 +207,28 @@ fn remove_side(side: &mut StabSide, arena: &[StabEntry], key: (u64, u64)) -> boo
     }
 }
 
-/// Hot descent fields of the blocked stabbing cache: the node's key plus
-/// emptiness flags for both sides, so descents touch the cold node record
-/// only when there is something to report.  The flags are conservative
-/// under deletes (a flagged side may have become empty — harmless); any
-/// post-build attachment drops the cache instead.
+/// Hot descent fields of the stabbing walk: the node's key plus emptiness
+/// flags for both sides, so descents over the blocked cache touch the cold
+/// node record only when there is something to report.  The cached flags
+/// are conservative under deletes (a flagged side may have become empty —
+/// harmless); any post-build attachment drops the cache instead.
 #[derive(Debug, Clone, Copy)]
 struct StabHot {
     key: f64,
     /// Bit 0: by-left side non-empty; bit 1: by-right side non-empty.
     flags: u8,
+}
+
+impl StabHot {
+    /// The hot fields of `node` (the same function feeds the flat view and
+    /// the blocked cache).
+    fn of(node: &Node) -> Self {
+        StabHot {
+            key: node.key,
+            flags: u8::from(!node.by_left.is_side_empty())
+                | (u8::from(!node.by_right.is_side_empty()) << 1),
+        }
+    }
 }
 
 /// One node of the interval tree.
@@ -718,101 +731,75 @@ impl IntervalTree {
     ///
     /// Descends the [`BlockedTree`] cache when one is live (built by the
     /// constructions, dropped by post-build attachments), the flat arena
-    /// otherwise.  Both paths visit the same logical nodes and charge
-    /// identical ARAM reads (pinned by `tests/layout_equiv.rs`).
-    pub fn stab_scratch(
-        &self,
-        x: f64,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) -> Vec<u64> {
-        let mut out = Vec::new();
-        let levels = match &self.blocked {
-            Some(b) if b.root() != NO_NODE => self.stab_blocked_walk(b, x, scratch, &mut out),
-            _ => self.stab_flat_walk(x, scratch, &mut out),
-        };
-        // The path is released when the descent ends, so a guard reused
-        // across queries sees each descent's peak, not their sum.
-        scratch.free(levels);
-        record_writes(out.len() as u64);
-        out.sort_unstable();
-        out
+    /// otherwise.  Both are the same walk over a different node source, so
+    /// they visit the same logical nodes and charge identical ARAM reads
+    /// (pinned by `tests/layout_equiv.rs`).
+    pub fn stab_scratch(&self, x: f64, scratch: &mut TaskScratch<'_>) -> Vec<u64> {
+        match &self.blocked {
+            Some(b) => self.stab_walk(b, x, scratch),
+            None => self.stab_walk(&self.flat(), x, scratch),
+        }
     }
 
     /// [`IntervalTree::stab`] forced onto the flat (pre-blocked) descent —
     /// the live "before" side of the query benchmarks.  Identical answers
     /// and ARAM charges to the blocked path.
     pub fn stab_flat(&self, x: f64) -> Vec<u64> {
+        self.stab_walk(&self.flat(), x, &mut TaskScratch::untracked())
+    }
+
+    /// The node arena as a walk source.
+    fn flat(
+        &self,
+    ) -> FlatView<impl Fn(usize) -> (usize, usize) + '_, impl Fn(usize) -> StabHot + '_> {
+        FlatView::new(
+            self.root,
+            |v| (self.nodes[v].left, self.nodes[v].right),
+            |v| StabHot::of(&self.nodes[v]),
+        )
+    }
+
+    /// The one stabbing walk: a root-to-leaf descent that reports each
+    /// visited node's covering intervals.  The emptiness flags skip the
+    /// node record when a side has nothing to report (the failed-probe read
+    /// is still charged).
+    fn stab_walk<S: NodeSource<Payload = StabHot>>(
+        &self,
+        src: &S,
+        x: f64,
+        scratch: &mut TaskScratch<'_>,
+    ) -> Vec<u64> {
         let mut out = Vec::new();
-        let mut scratch = pwe_asym::smallmem::TaskScratch::untracked();
-        let levels = self.stab_flat_walk(x, &mut scratch, &mut out);
+        let mut cur = src.root();
+        let mut levels = 0u64;
+        while cur != S::NONE {
+            scratch.alloc(1);
+            levels += 1;
+            record_read();
+            let hot = src.payload(cur);
+            let (l, r) = src.children(cur);
+            if x <= hot.key {
+                if hot.flags & 1 != 0 {
+                    self.report_left(&self.nodes[src.orig(cur)], x, &mut out);
+                } else {
+                    record_read(); // the failed probe of the (flagged-)empty side
+                }
+                cur = if x < hot.key { l } else { S::NONE };
+            } else {
+                if hot.flags & 2 != 0 {
+                    self.report_right(&self.nodes[src.orig(cur)], x, &mut out);
+                } else {
+                    record_read();
+                }
+                cur = r;
+            }
+        }
+        // The path is released when the descent ends, so a guard reused
+        // across queries sees each descent's peak, not their sum.
         scratch.free(levels);
         record_writes(out.len() as u64);
         out.sort_unstable();
         out
-    }
-
-    /// The flat root-to-leaf stabbing descent; returns the path length
-    /// (scratch words still held).
-    fn stab_flat_walk(
-        &self,
-        x: f64,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-        out: &mut Vec<u64>,
-    ) -> u64 {
-        let mut cur = self.root;
-        let mut levels = 0u64;
-        while cur != EMPTY {
-            scratch.alloc(1);
-            levels += 1;
-            record_read();
-            let node = &self.nodes[cur];
-            if x <= node.key {
-                self.report_left(node, x, out);
-                cur = if x < node.key { node.left } else { EMPTY };
-            } else {
-                self.report_right(node, x, out);
-                cur = node.right;
-            }
-        }
-        levels
-    }
-
-    /// The same descent over the blocked cache: direction decisions read the
-    /// blocked-local key, and the emptiness flags skip the cold node record
-    /// when there is nothing to report (the failed-probe read is still
-    /// charged, keeping the counters identical to the flat walk).
-    fn stab_blocked_walk(
-        &self,
-        b: &BlockedTree<StabHot>,
-        x: f64,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-        out: &mut Vec<u64>,
-    ) -> u64 {
-        let mut cur = b.root();
-        let mut levels = 0u64;
-        while cur != NO_NODE {
-            scratch.alloc(1);
-            levels += 1;
-            record_read();
-            let bn = b.node(cur);
-            let hot = bn.payload;
-            if x <= hot.key {
-                if hot.flags & 1 != 0 {
-                    self.report_left(&self.nodes[bn.orig as usize], x, out);
-                } else {
-                    record_read(); // the failed probe of the (flagged-)empty side
-                }
-                cur = if x < hot.key { bn.left } else { NO_NODE };
-            } else {
-                if hot.flags & 2 != 0 {
-                    self.report_right(&self.nodes[bn.orig as usize], x, out);
-                } else {
-                    record_read();
-                }
-                cur = bn.right;
-            }
-        }
-        levels
     }
 
     /// Report `node`'s intervals with left endpoint ≤ `x` (all of them
@@ -858,21 +845,7 @@ impl IntervalTree {
     /// (Re)build the blocked descent cache from the current skeleton.
     /// Purely derived, uncharged physical-layout maintenance (MODEL.md §5).
     fn rebuild_blocked(&mut self) {
-        if self.root == EMPTY {
-            self.blocked = None;
-            return;
-        }
-        let nodes = &self.nodes;
-        self.blocked = Some(BlockedTree::build(
-            nodes.len(),
-            self.root,
-            |v| (nodes[v].left, nodes[v].right),
-            |v| StabHot {
-                key: nodes[v].key,
-                flags: u8::from(!nodes[v].by_left.is_side_empty())
-                    | (u8::from(!nodes[v].by_right.is_side_empty()) << 1),
-            },
-        ));
+        self.blocked = (self.root != EMPTY).then(|| self.flat().blocked(self.nodes.len()));
     }
 
     // ------------------------------------------------------------- updates

@@ -30,16 +30,15 @@
 
 use pwe_asym::counters::{record_read, record_reads, record_writes};
 use pwe_asym::depth;
-use pwe_asym::smallmem::SmallMem;
+use pwe_asym::smallmem::{SmallMem, TaskScratch};
 use pwe_geom::bbox::Rect;
 use pwe_geom::point::Point2;
 use pwe_primitives::cascade::CascadeIndex;
 use pwe_primitives::hash::DetHashSet;
-use pwe_primitives::layout::{BlockedTree, NO_NODE};
+use pwe_primitives::layout::{BlockedTree, FlatView, NodeSource};
 use pwe_primitives::racecheck;
 use pwe_primitives::search::{
-    baseline_run_partition_point, branchless_partition_point, branchless_search_by_key,
-    run_partition_point,
+    branchless_partition_point, branchless_search_by_key, run_partition_point,
 };
 
 use crate::alpha::{is_critical_weight, is_critical_weight_uncharged};
@@ -52,7 +51,7 @@ const EMPTY: usize = usize::MAX;
 
 /// Subtrees with less total catalog weight than this are left out of the
 /// fractional-cascading index (searched instead — see
-/// [`RangeTree2D::rebuild_cascade`]): their runs are so short that a
+/// [`RangeTree2D::build_cascade`]): their runs are so short that a
 /// `1–2`-read search beats a bridge hop.
 const CASCADE_FRINGE_CUTOFF: usize = 128;
 
@@ -162,29 +161,35 @@ pub struct RangeTree2D {
     deleted: DetHashSet<u64>,
     /// Number of reconstructions triggered by updates (diagnostic).
     pub rebuilds: u64,
-    /// Cache-conscious descent cache over the outer tree, rebuilt at
-    /// build-finalize and dropped on structural mutation (queries then fall
-    /// back to the flat arena).  Purely derived: never digested, and the
-    /// blocked descent charges the exact reads of the flat one
-    /// ([`Self::query_flat`] keeps the flat path callable for comparison).
-    blocked: Option<BlockedTree<RtHot>>,
-    /// Fractional-cascading overlay over the augmentation runs (keys =
-    /// [`ykey`]), rebuilt at build-finalize and dropped with `blocked` on
-    /// structural mutation.  Derived and never digested like `blocked`,
-    /// but — unlike blocking — cascaded queries *charge differently*: the
-    /// per-critical-node `⌈log₂ m⌉` run searches collapse to one root
-    /// search plus `O(1)` charged bridge reads per visited node
-    /// (`Θ(log² n) → Θ(log n)` locate reads; MODEL.md §5, "Fractional
-    /// cascading").  [`Self::query_uncascaded`] keeps the searched-run
-    /// path callable for a live A/B.
+    /// The derived query overlays, built together at build-finalize and
+    /// dropped together on structural mutation (queries then walk the flat
+    /// arena with searched runs).  Never digested.
+    overlays: Option<Overlays>,
+}
+
+/// The derived query overlays of a [`RangeTree2D`] in the finalize state.
+#[derive(Debug, Clone)]
+struct Overlays {
+    /// Cache-conscious descent cache over the outer tree.  A walk over it
+    /// charges the exact reads of the same walk over the flat arena.
+    blocked: BlockedTree<RtHot>,
+    /// Fractional-cascading index over the augmentation runs (keys =
+    /// [`ykey`]); `None` when the whole tree is below
+    /// [`CASCADE_FRINGE_CUTOFF`].  Unlike blocking, cascaded queries
+    /// *charge differently*: the per-critical-node `⌈log₂ m⌉` run searches
+    /// collapse to one root search plus `O(1)` charged bridge reads per
+    /// visited node (`Θ(log² n) → Θ(log n)` locate reads; MODEL.md §5,
+    /// "Fractional cascading").  [`RangeTree2D::query_uncascaded`] keeps
+    /// the searched-run walk callable for a live A/B.
     cascade: Option<CascadeIndex<(u64, u64)>>,
 }
 
-/// The hot per-node words of the blocked descent: the split key, the
-/// node's kind, and — for arena-backed critical nodes — the main run's
-/// coordinates in the augmentation arena, so the report walk reaches every
-/// run straight from blocked storage and only touches the cold node arena
-/// at leaves (and at the rare non-arena-backed critical node).
+/// The hot per-node words of the query walk: the split key, the node's
+/// kind, and — for arena-backed critical nodes — the main run's coordinates
+/// in the augmentation arena, so the report walk over the blocked cache
+/// reaches every run straight from blocked storage and only touches the
+/// cold node arena at leaves (and at the rare non-arena-backed critical
+/// node).
 #[derive(Debug, Clone, Copy)]
 struct RtHot {
     split: f64,
@@ -195,22 +200,48 @@ struct RtHot {
     base_len: u32,
     kind: RtKind,
     /// Whether the node stores a leaf point.  Separate from `kind` because
-    /// the two flat walks disagree on precedence: the *descent*
-    /// (`query_rec`) resolves a leaf-with-inner node as a leaf, while the
-    /// *report* walk (`report_y_range`) answers it from the inner run —
-    /// the blocked mirrors must reproduce both to stay charge-identical.
+    /// the two phases of the walk differ on precedence: the *descent*
+    /// resolves a leaf-with-inner node as a leaf, while the *report*
+    /// answers it from the inner run.
     is_leaf: bool,
 }
 
-/// What a blocked node resolves to when *reported* (mirrors the
-/// `inner`-first precedence of [`RangeTree2D::report_y_range`]; valid as
-/// long as the cache is — the fields change only under mutations that drop
-/// it).  `Critical` is baked only when the node is arena-backed with an
-/// **empty overflow run** (the build-finalize state; any insert drops the
-/// cache), so skipping the overflow probe is charge-identical —
-/// `report_run` charges nothing on an empty run.  Any other inner state
-/// falls back to `CriticalCold`, which reads the node like the flat path
-/// does.
+impl RtHot {
+    /// The hot words of `node` (the same function feeds the flat view and
+    /// the blocked cache).
+    fn of(node: &RNode) -> Self {
+        let (kind, base_off, base_len) = match &node.inner {
+            Some(inner)
+                if inner.extra.is_empty()
+                    && inner.base_len > 0
+                    && inner.base_off <= u32::MAX as usize
+                    && inner.base_len <= u32::MAX as usize =>
+            {
+                (
+                    RtKind::Critical,
+                    inner.base_off as u32,
+                    inner.base_len as u32,
+                )
+            }
+            Some(_) => (RtKind::CriticalCold, 0, 0),
+            None if node.leaf.is_some() => (RtKind::Leaf, 0, 0),
+            None => (RtKind::Secondary, 0, 0),
+        };
+        RtHot {
+            split: node.split,
+            base_off,
+            base_len,
+            kind,
+            is_leaf: node.leaf.is_some(),
+        }
+    }
+}
+
+/// What a node resolves to when *reported* (`inner` first, then the leaf
+/// point).  `Critical` is baked only when the node is arena-backed with an
+/// **empty overflow run**, so skipping the overflow probe is
+/// charge-identical — a run scan charges nothing on an empty run.  Any
+/// other inner state is `CriticalCold`, which reads the node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RtKind {
     Secondary,
@@ -244,8 +275,7 @@ impl RangeTree2D {
             aug: Vec::new(),
             deleted: DetHashSet::default(),
             rebuilds: 0,
-            blocked: None,
-            cascade: None,
+            overlays: None,
         };
         if points.is_empty() {
             return (tree, AugBuildStats::default());
@@ -301,8 +331,7 @@ impl RangeTree2D {
             aug: Vec::new(),
             deleted: DetHashSet::default(),
             rebuilds: 0,
-            blocked: None,
-            cascade: None,
+            overlays: None,
         };
         if points.is_empty() {
             return tree;
@@ -433,59 +462,26 @@ impl RangeTree2D {
         d.finish()
     }
 
-    /// Rebuild the blocked descent cache from the current (reachable) outer
-    /// tree.  A pure function of the tree shape, so the cache is as
-    /// deterministic as the arena it mirrors; uncharged physical layout
-    /// (MODEL.md "Cache cost vs. ARAM cost").
-    fn rebuild_blocked(&mut self) {
-        if self.root == EMPTY {
-            self.blocked = None;
-            return;
-        }
-        let nodes = &self.nodes;
-        let bt = BlockedTree::build(
-            nodes.len(),
-            self.root,
-            |v| (nodes[v].left, nodes[v].right),
-            |v| {
-                let node = &nodes[v];
-                let (kind, base_off, base_len) = if let Some(inner) = &node.inner {
-                    if inner.extra.is_empty()
-                        && inner.base_len > 0
-                        && inner.base_off <= u32::MAX as usize
-                        && inner.base_len <= u32::MAX as usize
-                    {
-                        (
-                            RtKind::Critical,
-                            inner.base_off as u32,
-                            inner.base_len as u32,
-                        )
-                    } else {
-                        (RtKind::CriticalCold, 0, 0)
-                    }
-                } else if node.leaf.is_some() {
-                    (RtKind::Leaf, 0, 0)
-                } else {
-                    (RtKind::Secondary, 0, 0)
-                };
-                RtHot {
-                    split: node.split,
-                    base_off,
-                    base_len,
-                    kind,
-                    is_leaf: node.leaf.is_some(),
-                }
-            },
-        );
-        self.blocked = Some(bt);
-    }
-
     /// Rebuild both derived query overlays (the blocked descent cache and
     /// the fractional-cascading index) at build-finalize.  Pure functions
-    /// of the digested state; uncharged (MODEL.md §5).
+    /// of the digested state, as deterministic as the arena they mirror;
+    /// uncharged physical layout (MODEL.md §5).
     fn finalize_caches(&mut self) {
-        self.rebuild_blocked();
-        self.rebuild_cascade();
+        self.overlays = (self.root != EMPTY).then(|| Overlays {
+            blocked: self.flat().blocked(self.nodes.len()),
+            cascade: self.build_cascade(),
+        });
+    }
+
+    /// The outer tree's flat arena as a walk source.
+    fn flat(
+        &self,
+    ) -> FlatView<impl Fn(usize) -> (usize, usize) + '_, impl Fn(usize) -> RtHot + '_> {
+        FlatView::new(
+            self.root,
+            |v| (self.nodes[v].left, self.nodes[v].right),
+            |v| RtHot::of(&self.nodes[v]),
+        )
     }
 
     /// The main run a node's cascade catalog (and cascaded report) reads:
@@ -500,7 +496,7 @@ impl RangeTree2D {
         }
     }
 
-    /// Rebuild the fractional-cascading index over the critical runs.  Only
+    /// Build the fractional-cascading index over the critical runs.  Only
     /// valid in the finalize state (every overflow run empty — any insert
     /// drops the index); catalogs are the main runs keyed by [`ykey`].
     /// Derived overlay: uncharged, never digested, deterministic.
@@ -510,32 +506,28 @@ impl RangeTree2D {
     /// fringe every critical run is a handful of points, so a searched
     /// locate costs 1–2 reads and a bridge hop (≈ 1.5) cannot pay for
     /// itself.  Cascaded queries bridge only through indexed nodes and fall
-    /// back to the searched descent below the cutoff (charge-identical to
-    /// the uncascaded path on that fringe) — the asymptotic picture is
+    /// back to searched runs below the cutoff (charge-identical to the
+    /// uncascaded path on that fringe) — the asymptotic picture is
     /// unchanged, the constants are what make the read drop real at bench
     /// sizes (MODEL.md §5).
-    fn rebuild_cascade(&mut self) {
+    fn build_cascade(&self) -> Option<CascadeIndex<(u64, u64)>> {
         let finalize_state = self.root != EMPTY
             && self
                 .nodes
                 .iter()
                 .all(|n| n.inner.as_ref().is_none_or(|i| i.extra.is_empty()));
         if !finalize_state {
-            self.cascade = None;
-            return;
+            return None;
         }
         let mut catw = vec![0usize; self.nodes.len()];
         Self::catw_rec(&self.nodes, self.root, &mut catw);
         if catw[self.root] < CASCADE_FRINGE_CUTOFF {
-            self.cascade = None;
-            return;
+            return None;
         }
         let nodes = &self.nodes;
-        let aug = &self.aug;
         let main = |v: usize| -> &[RtPoint] {
             match &nodes[v].inner {
-                Some(i) if i.base_len > 0 => &aug[i.base_off..i.base_off + i.base_len],
-                Some(i) => &i.owned,
+                Some(i) => self.main_run(i),
                 None => &[],
             }
         };
@@ -546,19 +538,18 @@ impl RangeTree2D {
                 EMPTY
             }
         };
-        let casc = CascadeIndex::build(
+        Some(CascadeIndex::build(
             nodes.len(),
             self.root,
             |v| (keep(nodes[v].left), keep(nodes[v].right)),
             |v| main(v).len(),
             |v, i| ykey(&main(v)[i]),
             (0, 0),
-        );
-        self.cascade = Some(casc);
+        ))
     }
 
     /// Total catalog (main-run) weight of every subtree, bottom-up — the
-    /// fringe-cutoff measure of [`Self::rebuild_cascade`].
+    /// fringe-cutoff measure of [`Self::build_cascade`].
     fn catw_rec(nodes: &[RNode], v: usize, catw: &mut [usize]) -> usize {
         if v == EMPTY {
             return 0;
@@ -583,605 +574,95 @@ impl RangeTree2D {
     /// list, then `O(1)` charged bridge reads per visited node instead of a
     /// `⌈log₂ m⌉` run search per critical node (`Θ(log² n) → Θ(log n)`
     /// locate reads; MODEL.md §5).  After a structural mutation both
-    /// overlays are dropped and the query falls back to the flat searched
-    /// descent.  [`Self::query_flat`] is the charge-identical flat-arena
-    /// mirror (pinned by `tests/layout_equiv.rs` and
-    /// `tests/cascade_equiv.rs`); [`Self::query_uncascaded`] keeps the
-    /// searched-run path callable for a live A/B.
+    /// overlays are dropped and the query walks the flat arena with
+    /// searched runs.  [`Self::query_uncascaded`] and
+    /// [`Self::query_flat_uncascaded`] keep the searched-run walk callable
+    /// on either layout for a live A/B (pinned by `tests/layout_equiv.rs`
+    /// and `tests/cascade_equiv.rs`).
     pub fn query(&self, rect: &Rect) -> Vec<u64> {
-        self.query_scratch(rect, &mut pwe_asym::smallmem::TaskScratch::untracked())
+        self.query_scratch(rect, &mut TaskScratch::untracked())
     }
 
-    /// The blocked + cascaded descent by name (identical to
-    /// [`RangeTree2D::query`] — the default path *is* the blocked cascaded
-    /// one; kept as an explicit entry point for the bench harness).
-    pub fn query_blocked(&self, rect: &Rect) -> Vec<u64> {
-        self.query_scratch(rect, &mut pwe_asym::smallmem::TaskScratch::untracked())
-    }
-
-    /// [`RangeTree2D::query`] forced onto the flat arena descent, cascaded
-    /// when the index is live: same cascade probes, same charges as the
-    /// blocked default — only the machine addresses differ — so the pair
-    /// stays a pure wall-clock A/B (falls back with `query` after
-    /// mutations).
-    pub fn query_flat(&self, rect: &Rect) -> Vec<u64> {
-        let scratch = &mut pwe_asym::smallmem::TaskScratch::untracked();
-        let mut out = Vec::new();
-        if let Some(casc) = &self.cascade {
-            let lo_key = (f64_key(rect.y_min), 0u64);
-            self.query_casc_rec(
-                casc,
-                self.root,
-                None,
-                rect,
-                &lo_key,
-                f64::NEG_INFINITY,
-                f64::INFINITY,
-                &mut out,
-                scratch,
-            );
-        } else if self.root != EMPTY {
-            self.query_rec(
-                self.root,
-                rect,
-                f64::NEG_INFINITY,
-                f64::INFINITY,
-                &mut out,
-                scratch,
-            );
-        }
-        record_writes(out.len() as u64);
-        out.sort_unstable();
-        out
-    }
-
-    /// The PR 7 default: blocked descent with a per-critical-node
-    /// branchless run search, no cascading.  Kept callable as the "before"
+    /// The blocked descent with a per-critical-node branchless run search,
+    /// no cascading (flat after a mutation).  Kept callable as the "before"
     /// side of the `range2d_cascade` BENCH row — the read counters of this
     /// path genuinely exceed the cascaded ones (that drop is the point of
     /// the structure, MODEL.md §5).
     pub fn query_uncascaded(&self, rect: &Rect) -> Vec<u64> {
-        let scratch = &mut pwe_asym::smallmem::TaskScratch::untracked();
-        let mut out = Vec::new();
-        if let Some(bt) = &self.blocked {
-            self.query_blocked_rec(
-                bt,
-                bt.root(),
-                rect,
-                f64::NEG_INFINITY,
-                f64::INFINITY,
-                &mut out,
-                scratch,
-            );
-        } else if self.root != EMPTY {
-            self.query_rec(
-                self.root,
-                rect,
-                f64::NEG_INFINITY,
-                f64::INFINITY,
-                &mut out,
-                scratch,
-            );
+        let scratch = &mut TaskScratch::untracked();
+        match &self.overlays {
+            Some(ov) => self.walk(&ov.blocked, None, rect, scratch),
+            None => self.walk(&self.flat(), None, rect, scratch),
         }
-        record_writes(out.len() as u64);
-        out.sort_unstable();
-        out
     }
 
-    /// The pre-blocked, pre-cascade baseline: flat arena descent with the
-    /// branchy `partition_point` run search (the "before" side of the PR 7
-    /// `range2d` BENCH row, unchanged in meaning).
+    /// The flat arena descent with searched runs: the path every query
+    /// takes after a structural mutation, and the "before" side of the
+    /// `range2d` BENCH row.  Same answers and charges as
+    /// [`Self::query_uncascaded`].
     pub fn query_flat_uncascaded(&self, rect: &Rect) -> Vec<u64> {
-        let scratch = &mut pwe_asym::smallmem::TaskScratch::untracked();
-        let mut out = Vec::new();
-        if self.root != EMPTY {
-            self.query_rec(
-                self.root,
-                rect,
-                f64::NEG_INFINITY,
-                f64::INFINITY,
-                &mut out,
-                scratch,
-            );
-        }
-        record_writes(out.len() as u64);
-        out.sort_unstable();
-        out
+        self.walk(&self.flat(), None, rect, &mut TaskScratch::untracked())
     }
 
     /// [`RangeTree2D::query`], charging the recursion frames — one word
     /// each, peak `O(height)` plus the `O(α)` critical-descendant descent
     /// (Corollary 7.1) — against a small-memory ledger via `scratch`.
     /// The reported ids are output writes, not scratch.
-    pub fn query_scratch(
-        &self,
-        rect: &Rect,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) -> Vec<u64> {
-        let mut out = Vec::new();
-        match (&self.cascade, &self.blocked) {
-            (Some(casc), Some(bt)) => {
-                let lo_key = (f64_key(rect.y_min), 0u64);
-                self.query_casc_blocked_rec(
-                    bt,
-                    casc,
-                    bt.root(),
-                    None,
-                    rect,
-                    &lo_key,
-                    f64::NEG_INFINITY,
-                    f64::INFINITY,
-                    &mut out,
-                    scratch,
-                );
-            }
-            (Some(casc), None) => {
-                // Unreachable by construction (the overlays are rebuilt and
-                // dropped together) but kept total: cascade the flat walk.
-                let lo_key = (f64_key(rect.y_min), 0u64);
-                self.query_casc_rec(
-                    casc,
-                    self.root,
-                    None,
-                    rect,
-                    &lo_key,
-                    f64::NEG_INFINITY,
-                    f64::INFINITY,
-                    &mut out,
-                    scratch,
-                );
-            }
-            (None, Some(bt)) => {
-                self.query_blocked_rec(
-                    bt,
-                    bt.root(),
-                    rect,
-                    f64::NEG_INFINITY,
-                    f64::INFINITY,
-                    &mut out,
-                    scratch,
-                );
-            }
-            (None, None) => {
-                if self.root != EMPTY {
-                    self.query_rec(
-                        self.root,
-                        rect,
-                        f64::NEG_INFINITY,
-                        f64::INFINITY,
-                        &mut out,
-                        scratch,
-                    );
-                }
-            }
+    pub fn query_scratch(&self, rect: &Rect, scratch: &mut TaskScratch<'_>) -> Vec<u64> {
+        match &self.overlays {
+            Some(ov) => self.walk(&ov.blocked, ov.cascade.as_ref(), rect, scratch),
+            None => self.walk(&self.flat(), None, rect, scratch),
         }
+    }
+
+    /// The one range query: descend `src`, locating the critical runs
+    /// through `casc` where it is given and covers the node, by a charged
+    /// search otherwise.
+    fn walk<S: NodeSource<Payload = RtHot>>(
+        &self,
+        src: &S,
+        casc: Option<&CascadeIndex<(u64, u64)>>,
+        rect: &Rect,
+        scratch: &mut TaskScratch<'_>,
+    ) -> Vec<u64> {
+        let walk = RtWalk {
+            tree: self,
+            src,
+            casc,
+            rect,
+            lo_key: (f64_key(rect.y_min), 0),
+        };
+        let at = if casc.is_some() {
+            Locate::Start
+        } else {
+            Locate::Searched
+        };
+        let mut out = Vec::new();
+        walk.descend(
+            src.root(),
+            at,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            &mut out,
+            scratch,
+        );
         record_writes(out.len() as u64);
         out.sort_unstable();
         out
     }
 
-    /// The cascaded flat descent: the structure of [`Self::query_rec`] with
-    /// every per-critical-node run search replaced by cascade locates — one
-    /// charged [`CascadeIndex::start`] at the root, then one
-    /// [`CascadeIndex::bridge`] per visited internal node.  `from` is the
-    /// parent's `(slot, list position, is-right-child)` (None at the root).
-    #[allow(clippy::too_many_arguments)]
-    fn query_casc_rec(
-        &self,
-        casc: &CascadeIndex<(u64, u64)>,
-        v: usize,
-        from: Option<(usize, u32, bool)>,
-        rect: &Rect,
-        lo_key: &(u64, u64),
-        lo: f64,
-        hi: f64,
-        out: &mut Vec<u64>,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) {
-        if v == EMPTY || lo > rect.x_max || hi < rect.x_min {
-            return;
-        }
-        scratch.alloc(1);
-        record_read();
-        let node = &self.nodes[v];
-        if let Some(p) = node.leaf {
+    /// Report the point of the leaf at arena slot `v` if it is live and
+    /// inside `rect`.
+    fn report_leaf(&self, v: usize, rect: &Rect, out: &mut Vec<u64>) {
+        if let Some(p) = self.nodes[v].leaf {
             if rect.contains(&p.point) && !self.deleted.contains(&p.id) {
                 out.push(p.id);
             }
-        } else {
-            let pos = match from {
-                None => casc.start(v, lo_key),
-                Some((pv, pp, right)) => casc.bridge(pv, pp, v, right, lo_key),
-            };
-            casc.prefetch_bridge(v, pos, node.left, false);
-            casc.prefetch_bridge(v, pos, node.right, true);
-            if rect.x_min <= lo && hi <= rect.x_max {
-                self.report_casc(casc, v, pos, rect, lo_key, out, scratch);
-            } else {
-                // Below the fringe cutoff the index stops: continue with
-                // the searched descent there (charge-identical to the
-                // uncascaded path on that subtree).
-                if casc.is_indexed(node.left) {
-                    self.query_casc_rec(
-                        casc,
-                        node.left,
-                        Some((v, pos, false)),
-                        rect,
-                        lo_key,
-                        lo,
-                        node.split,
-                        out,
-                        scratch,
-                    );
-                } else {
-                    self.query_rec(node.left, rect, lo, node.split, out, scratch);
-                }
-                if casc.is_indexed(node.right) {
-                    self.query_casc_rec(
-                        casc,
-                        node.right,
-                        Some((v, pos, true)),
-                        rect,
-                        lo_key,
-                        node.split,
-                        hi,
-                        out,
-                        scratch,
-                    );
-                } else {
-                    self.query_rec(node.right, rect, node.split, hi, out, scratch);
-                }
-            }
         }
-        scratch.free(1);
     }
 
-    /// The cascaded mirror of [`Self::report_y_range`]: `pos` is the exact
-    /// partition point of `v`'s cascade list for the query's `lo_key`, so a
-    /// critical node's scan start is one [`CascadeIndex::catalog_start`]
-    /// read — no run search — and secondary nodes bridge down to their
-    /// critical descendants at `O(1)` charged reads per edge.
-    #[allow(clippy::too_many_arguments)]
-    fn report_casc(
-        &self,
-        casc: &CascadeIndex<(u64, u64)>,
-        v: usize,
-        pos: u32,
-        rect: &Rect,
-        lo_key: &(u64, u64),
-        out: &mut Vec<u64>,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) {
-        if v == EMPTY {
-            return;
-        }
-        scratch.alloc(1);
-        record_read();
-        let node = &self.nodes[v];
-        if let Some(inner) = &node.inner {
-            debug_assert!(inner.extra.is_empty(), "cascade implies finalize state");
-            let start = casc.catalog_start(v, pos) as usize;
-            self.scan_run_from(self.main_run(inner), start, rect, out);
-        } else if let Some(p) = node.leaf {
-            if rect.contains(&p.point) && !self.deleted.contains(&p.id) {
-                out.push(p.id);
-            }
-        } else {
-            casc.prefetch_bridge(v, pos, node.left, false);
-            casc.prefetch_bridge(v, pos, node.right, true);
-            for (c, right) in [(node.left, false), (node.right, true)] {
-                if casc.is_indexed(c) {
-                    let pc = casc.bridge(v, pos, c, right, lo_key);
-                    self.report_casc(casc, c, pc, rect, lo_key, out, scratch);
-                } else {
-                    // Fringe cutoff: searched report below (handles EMPTY).
-                    self.report_y_range(c, rect, out, scratch);
-                }
-            }
-        }
-        scratch.free(1);
-    }
-
-    /// The blocked mirror of [`Self::query_casc_rec`]: identical cascade
-    /// probes and charges (pinned by `tests/cascade_equiv.rs`); hot split
-    /// keys come from blocked storage, `orig` reaches the cold arena.
-    #[allow(clippy::too_many_arguments)]
-    fn query_casc_blocked_rec(
-        &self,
-        bt: &BlockedTree<RtHot>,
-        casc: &CascadeIndex<(u64, u64)>,
-        p: u32,
-        from: Option<(usize, u32, bool)>,
-        rect: &Rect,
-        lo_key: &(u64, u64),
-        lo: f64,
-        hi: f64,
-        out: &mut Vec<u64>,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) {
-        if p == NO_NODE || lo > rect.x_max || hi < rect.x_min {
-            return;
-        }
-        scratch.alloc(1);
-        record_read();
-        let bn = bt.node(p);
-        let hot = bn.payload;
-        let v = bn.orig as usize;
-        if hot.is_leaf {
-            if let Some(q) = self.nodes[v].leaf {
-                if rect.contains(&q.point) && !self.deleted.contains(&q.id) {
-                    out.push(q.id);
-                }
-            }
-        } else {
-            let pos = match from {
-                None => casc.start(v, lo_key),
-                Some((pv, pp, right)) => casc.bridge(pv, pp, v, right, lo_key),
-            };
-            let corig = [bn.left, bn.right].map(|cb| {
-                if cb == NO_NODE {
-                    EMPTY
-                } else {
-                    bt.node(cb).orig as usize
-                }
-            });
-            casc.prefetch_bridge(v, pos, corig[0], false);
-            casc.prefetch_bridge(v, pos, corig[1], true);
-            if rect.x_min <= lo && hi <= rect.x_max {
-                self.report_casc_blocked(bt, casc, p, pos, rect, lo_key, out, scratch);
-            } else {
-                // Same fringe-cutoff decision as the flat mirror (made on
-                // the child's *orig* slot, so both paths agree exactly).
-                for (cb, b_lo, b_hi, right) in [
-                    (bn.left, lo, hot.split, false),
-                    (bn.right, hot.split, hi, true),
-                ] {
-                    if cb != NO_NODE && casc.is_indexed(bt.node(cb).orig as usize) {
-                        self.query_casc_blocked_rec(
-                            bt,
-                            casc,
-                            cb,
-                            Some((v, pos, right)),
-                            rect,
-                            lo_key,
-                            b_lo,
-                            b_hi,
-                            out,
-                            scratch,
-                        );
-                    } else {
-                        self.query_blocked_rec(bt, cb, rect, b_lo, b_hi, out, scratch);
-                    }
-                }
-            }
-        }
-        scratch.free(1);
-    }
-
-    /// The blocked mirror of [`Self::report_casc`] (same cascade probes and
-    /// charges; arena-backed runs are reached from the hot payload alone).
-    #[allow(clippy::too_many_arguments)]
-    fn report_casc_blocked(
-        &self,
-        bt: &BlockedTree<RtHot>,
-        casc: &CascadeIndex<(u64, u64)>,
-        p: u32,
-        pos: u32,
-        rect: &Rect,
-        lo_key: &(u64, u64),
-        out: &mut Vec<u64>,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) {
-        if p == NO_NODE {
-            return;
-        }
-        scratch.alloc(1);
-        record_read();
-        let bn = bt.node(p);
-        let v = bn.orig as usize;
-        match bn.payload.kind {
-            RtKind::Critical => {
-                let hot = bn.payload;
-                let start = casc.catalog_start(v, pos) as usize;
-                let main =
-                    &self.aug[hot.base_off as usize..hot.base_off as usize + hot.base_len as usize];
-                self.scan_run_from(main, start, rect, out);
-            }
-            RtKind::CriticalCold => {
-                let inner = self.nodes[v]
-                    .inner
-                    .as_ref()
-                    .expect("critical kind implies inner");
-                debug_assert!(inner.extra.is_empty(), "cascade implies finalize state");
-                let start = casc.catalog_start(v, pos) as usize;
-                self.scan_run_from(self.main_run(inner), start, rect, out);
-            }
-            RtKind::Leaf => {
-                if let Some(q) = self.nodes[v].leaf {
-                    if rect.contains(&q.point) && !self.deleted.contains(&q.id) {
-                        out.push(q.id);
-                    }
-                }
-            }
-            RtKind::Secondary => {
-                let corig = [bn.left, bn.right].map(|cb| {
-                    if cb == NO_NODE {
-                        EMPTY
-                    } else {
-                        bt.node(cb).orig as usize
-                    }
-                });
-                casc.prefetch_bridge(v, pos, corig[0], false);
-                casc.prefetch_bridge(v, pos, corig[1], true);
-                for (cb, right) in [(bn.left, false), (bn.right, true)] {
-                    if cb == NO_NODE {
-                        continue;
-                    }
-                    let c = bt.node(cb).orig as usize;
-                    if casc.is_indexed(c) {
-                        let pc = casc.bridge(v, pos, c, right, lo_key);
-                        self.report_casc_blocked(bt, casc, cb, pc, rect, lo_key, out, scratch);
-                    } else {
-                        // Fringe cutoff: searched blocked report below.
-                        self.report_y_blocked(bt, cb, rect, out, scratch);
-                    }
-                }
-            }
-        }
-        scratch.free(1);
-    }
-
-    /// The blocked mirror of [`Self::query_rec`]: same logical visits, same
-    /// per-node read charge and scratch accounting — only the machine
-    /// addresses differ (hot split keys walk blocked-local children; leaf
-    /// points and inner runs are reached through `orig`).
-    #[allow(clippy::too_many_arguments)]
-    fn query_blocked_rec(
-        &self,
-        bt: &BlockedTree<RtHot>,
-        p: u32,
-        rect: &Rect,
-        lo: f64,
-        hi: f64,
-        out: &mut Vec<u64>,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) {
-        if p == NO_NODE || lo > rect.x_max || hi < rect.x_min {
-            return;
-        }
-        scratch.alloc(1);
-        record_read();
-        let bn = bt.node(p);
-        let hot = bn.payload;
-        if hot.is_leaf {
-            if let Some(q) = self.nodes[bn.orig as usize].leaf {
-                if rect.contains(&q.point) && !self.deleted.contains(&q.id) {
-                    out.push(q.id);
-                }
-            }
-        } else if rect.x_min <= lo && hi <= rect.x_max {
-            self.report_y_blocked(bt, p, rect, out, scratch);
-        } else {
-            let split = hot.split;
-            self.query_blocked_rec(bt, bn.left, rect, lo, split, out, scratch);
-            self.query_blocked_rec(bt, bn.right, rect, split, hi, out, scratch);
-        }
-        scratch.free(1);
-    }
-
-    /// The blocked mirror of [`Self::report_y_range`] (same charges; the
-    /// report-phase entry read is the node's inner-structure header).
-    fn report_y_blocked(
-        &self,
-        bt: &BlockedTree<RtHot>,
-        p: u32,
-        rect: &Rect,
-        out: &mut Vec<u64>,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) {
-        if p == NO_NODE {
-            return;
-        }
-        scratch.alloc(1);
-        record_read();
-        let bn = bt.node(p);
-        match bn.payload.kind {
-            RtKind::Critical => {
-                // Arena-backed with empty overflow (baked at rebuild): the
-                // run is reachable from the hot payload alone, and skipping
-                // the empty overflow probe charges nothing extra — exactly
-                // like the flat path's `report_run` on an empty run.
-                let hot = bn.payload;
-                let main =
-                    &self.aug[hot.base_off as usize..hot.base_off as usize + hot.base_len as usize];
-                self.report_run(main, rect, out, true);
-            }
-            RtKind::CriticalCold => {
-                let node = &self.nodes[bn.orig as usize];
-                let inner = node.inner.as_ref().expect("critical kind implies inner");
-                let main: &[RtPoint] = if inner.base_len > 0 {
-                    &self.aug[inner.base_off..inner.base_off + inner.base_len]
-                } else {
-                    &inner.owned
-                };
-                self.report_run(main, rect, out, true);
-                self.report_run(&inner.extra, rect, out, true);
-            }
-            RtKind::Leaf => {
-                if let Some(q) = self.nodes[bn.orig as usize].leaf {
-                    if rect.contains(&q.point) && !self.deleted.contains(&q.id) {
-                        out.push(q.id);
-                    }
-                }
-            }
-            RtKind::Secondary => {
-                self.report_y_blocked(bt, bn.left, rect, out, scratch);
-                self.report_y_blocked(bt, bn.right, rect, out, scratch);
-            }
-        }
-        scratch.free(1);
-    }
-
-    fn query_rec(
-        &self,
-        v: usize,
-        rect: &Rect,
-        lo: f64,
-        hi: f64,
-        out: &mut Vec<u64>,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) {
-        if v == EMPTY || lo > rect.x_max || hi < rect.x_min {
-            return;
-        }
-        scratch.alloc(1);
-        record_read();
-        let node = &self.nodes[v];
-        if let Some(p) = node.leaf {
-            if rect.contains(&p.point) && !self.deleted.contains(&p.id) {
-                out.push(p.id);
-            }
-        } else if rect.x_min <= lo && hi <= rect.x_max {
-            // The node's x-range is entirely inside the query: answer from
-            // the inner structure (or, on a secondary node, from the inner
-            // structures of its maximal critical descendants).
-            self.report_y_range(v, rect, out, scratch);
-        } else {
-            self.query_rec(node.left, rect, lo, node.split, out, scratch);
-            self.query_rec(node.right, rect, node.split, hi, out, scratch);
-        }
-        scratch.free(1);
-    }
-
-    /// Report the points of one y-sorted run whose y lies in the query's
-    /// y-range: a binary search for the first candidate (`O(log m)` probe
-    /// reads over contiguous memory), then an output-sensitive scan.
-    ///
-    /// `branchless` selects the machine code of the lower-bound probe loop
-    /// only — the blocked descent uses the prefetching conditional-move
-    /// search, the flat baseline keeps the pre-blocked branchy
-    /// `partition_point` — the probes, result and read charge are
-    /// identical either way, so `query` and `query_flat` stay a pure
-    /// wall-clock A/B.
-    fn report_run(&self, run: &[RtPoint], rect: &Rect, out: &mut Vec<u64>, branchless: bool) {
-        if run.is_empty() {
-            return;
-        }
-        let lo_key = (f64_key(rect.y_min), 0u64);
-        let pred = |p: &RtPoint| ykey(p) < lo_key;
-        let start = if branchless {
-            run_partition_point(run, pred)
-        } else {
-            baseline_run_partition_point(run, pred)
-        };
-        self.scan_run_from(run, start, rect, out);
-    }
-
-    /// Scan a y-sorted run from a pre-located start index (one charged read
-    /// per visited element, stopping past the query's upper y bound).  The
-    /// tail shared by the searched-run paths ([`Self::report_run`]) and the
-    /// cascaded ones, where `start` comes from a bridge-followed catalog
-    /// position instead of a per-run search.
+    /// Scan a y-sorted run from a located start index (one charged read
+    /// per visited element, stopping past the query's upper y bound).
     fn scan_run_from(&self, run: &[RtPoint], start: usize, rect: &Rect, out: &mut Vec<u64>) {
         for p in &run[start..] {
             record_read();
@@ -1193,43 +674,6 @@ impl RangeTree2D {
                 out.push(p.id);
             }
         }
-    }
-
-    /// Report the points of `v`'s subtree whose y lies in the query's y-range
-    /// (x is already known to be inside).  Critical nodes answer from their
-    /// packed base run plus the overflow run; secondary nodes delegate to
-    /// their maximal critical descendants (at most `O(α)` levels down,
-    /// Corollary 7.1).
-    fn report_y_range(
-        &self,
-        v: usize,
-        rect: &Rect,
-        out: &mut Vec<u64>,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) {
-        if v == EMPTY {
-            return;
-        }
-        scratch.alloc(1);
-        record_read();
-        let node = &self.nodes[v];
-        if let Some(inner) = &node.inner {
-            let main: &[RtPoint] = if inner.base_len > 0 {
-                &self.aug[inner.base_off..inner.base_off + inner.base_len]
-            } else {
-                &inner.owned
-            };
-            self.report_run(main, rect, out, false);
-            self.report_run(&inner.extra, rect, out, false);
-        } else if let Some(p) = node.leaf {
-            if rect.contains(&p.point) && !self.deleted.contains(&p.id) {
-                out.push(p.id);
-            }
-        } else {
-            self.report_y_range(node.left, rect, out, scratch);
-            self.report_y_range(node.right, rect, out, scratch);
-        }
-        scratch.free(1);
     }
 
     /// Insert a point.  Touches the inner structures of the `O(log_α n)`
@@ -1248,8 +692,7 @@ impl RangeTree2D {
         // outer-tree shape, and the overflow splice invalidates cascade
         // catalogs: drop both derived overlays; queries fall back to the
         // flat searched descent until the next build-finalize.
-        self.blocked = None;
-        self.cascade = None;
+        self.overlays = None;
         // Descend to a leaf.
         let mut path = Vec::new();
         let mut v = self.root;
@@ -1454,6 +897,179 @@ impl RangeTree2D {
         if v == self.root {
             self.nodes[self.root].critical = true;
         }
+    }
+}
+
+/// How a node in the x-descent locates its critical runs.  Per-node walk
+/// state: the fringe cutoff switches a cascaded walk to searched runs
+/// mid-descent.
+#[derive(Debug, Clone, Copy)]
+enum Locate {
+    /// A charged binary search of each run (no cascade, or below the
+    /// fringe cutoff).
+    Searched,
+    /// The cascaded root: one charged [`CascadeIndex::start`].
+    Start,
+    /// A cascaded child: one charged [`CascadeIndex::bridge`] from the
+    /// parent's `(slot, list position, is-right-child)`.
+    Bridge(usize, u32, bool),
+}
+
+/// One range query in flight over the node source `S`.
+struct RtWalk<'a, S> {
+    tree: &'a RangeTree2D,
+    src: &'a S,
+    casc: Option<&'a CascadeIndex<(u64, u64)>>,
+    rect: &'a Rect,
+    /// The [`ykey`] lower bound of the query's y-range.
+    lo_key: (u64, u64),
+}
+
+impl<S: NodeSource<Payload = RtHot>> RtWalk<'_, S> {
+    /// The x-descent: nodes whose x-range `[lo, hi)` lies inside the query
+    /// report, partially covered ones split.  Cascade locates are resolved
+    /// here, after the range check, so pruned children charge nothing.
+    fn descend(
+        &self,
+        v: usize,
+        at: Locate,
+        lo: f64,
+        hi: f64,
+        out: &mut Vec<u64>,
+        scratch: &mut TaskScratch<'_>,
+    ) {
+        let rect = self.rect;
+        if v == S::NONE || lo > rect.x_max || hi < rect.x_min {
+            return;
+        }
+        scratch.alloc(1);
+        record_read();
+        let hot = self.src.payload(v);
+        let o = self.src.orig(v);
+        if hot.is_leaf {
+            self.tree.report_leaf(o, rect, out);
+        } else {
+            let pos = match (self.casc, at) {
+                (Some(casc), Locate::Start) => Some(casc.start(o, &self.lo_key)),
+                (Some(casc), Locate::Bridge(pv, pp, right)) => {
+                    Some(casc.bridge(pv, pp, o, right, &self.lo_key))
+                }
+                _ => None,
+            };
+            let (l, r) = self.src.children(v);
+            let slots = self.child_slots(o, pos, l, r);
+            if rect.x_min <= lo && hi <= rect.x_max {
+                // The node's x-range is entirely inside the query: answer
+                // from the inner structure (or, on a secondary node, from
+                // the inner structures of its maximal critical descendants).
+                self.report(v, pos, out, scratch);
+            } else {
+                // Below the fringe cutoff the index stops and the child
+                // searches its runs (charge-identical to the uncascaded
+                // walk on that subtree).
+                let at = |oc: usize, right: bool| {
+                    self.covering(pos, oc)
+                        .map_or(Locate::Searched, |(_, p)| Locate::Bridge(o, p, right))
+                };
+                self.descend(l, at(slots[0], false), lo, hot.split, out, scratch);
+                self.descend(r, at(slots[1], true), hot.split, hi, out, scratch);
+            }
+        }
+        scratch.free(1);
+    }
+
+    /// Report the points of `v`'s subtree whose y lies in the query's
+    /// y-range (x is already known to be inside).  Critical nodes answer
+    /// from their main run plus the overflow run; secondary nodes delegate
+    /// to their maximal critical descendants (at most `O(α)` levels down,
+    /// Corollary 7.1).  `pos` is `v`'s cascade list position, `None` on
+    /// searched runs.  The entry read is the node's inner-structure header.
+    fn report(
+        &self,
+        v: usize,
+        pos: Option<u32>,
+        out: &mut Vec<u64>,
+        scratch: &mut TaskScratch<'_>,
+    ) {
+        if v == S::NONE {
+            return;
+        }
+        scratch.alloc(1);
+        record_read();
+        let hot = self.src.payload(v);
+        let o = self.src.orig(v);
+        let tree = self.tree;
+        match hot.kind {
+            RtKind::Critical => {
+                let main = &tree.aug[hot.base_off as usize..][..hot.base_len as usize];
+                self.scan(main, o, pos, out);
+            }
+            RtKind::CriticalCold => {
+                let inner = tree.nodes[o]
+                    .inner
+                    .as_ref()
+                    .expect("critical kind implies inner");
+                debug_assert!(
+                    pos.is_none() || inner.extra.is_empty(),
+                    "cascade implies finalize state"
+                );
+                self.scan(tree.main_run(inner), o, pos, out);
+                self.scan(&inner.extra, o, None, out);
+            }
+            RtKind::Leaf => tree.report_leaf(o, self.rect, out),
+            RtKind::Secondary => {
+                let (l, r) = self.src.children(v);
+                let slots = self.child_slots(o, pos, l, r);
+                for (c, oc, right) in [(l, slots[0], false), (r, slots[1], true)] {
+                    let cpos = self
+                        .covering(pos, oc)
+                        .map(|(casc, p)| casc.bridge(o, p, oc, right, &self.lo_key));
+                    self.report(c, cpos, out, scratch);
+                }
+            }
+        }
+        scratch.free(1);
+    }
+
+    /// The arena slots of the children `l`, `r` of the node at slot `o`
+    /// (`EMPTY` where missing), prefetching both bridge targets.  Only a
+    /// node holding a cascade position needs them; searched walks get
+    /// `[EMPTY; 2]`.
+    fn child_slots(&self, o: usize, pos: Option<u32>, l: usize, r: usize) -> [usize; 2] {
+        let (Some(casc), Some(p)) = (self.casc, pos) else {
+            return [EMPTY; 2];
+        };
+        let slots = [l, r].map(|c| {
+            if c == S::NONE {
+                EMPTY
+            } else {
+                self.src.orig(c)
+            }
+        });
+        casc.prefetch_bridge(o, p, slots[0], false);
+        casc.prefetch_bridge(o, p, slots[1], true);
+        slots
+    }
+
+    /// The index and `v`'s list position `pos` when the index also covers
+    /// the child at slot `oc`; `None` sends the child to searched runs (no
+    /// position, or below the fringe cutoff).
+    fn covering(&self, pos: Option<u32>, oc: usize) -> Option<(&CascadeIndex<(u64, u64)>, u32)> {
+        let (casc, p) = (self.casc?, pos?);
+        casc.is_indexed(oc).then_some((casc, p))
+    }
+
+    /// Report one y-sorted run of the node at slot `o`: the scan starts at
+    /// the cascade's catalog position when `pos` holds one, otherwise after
+    /// a charged binary search (`⌈log₂ m⌉` probe reads; an empty run
+    /// charges nothing).
+    fn scan(&self, run: &[RtPoint], o: usize, pos: Option<u32>, out: &mut Vec<u64>) {
+        let start = match (self.casc, pos) {
+            (Some(casc), Some(p)) => casc.catalog_start(o, p) as usize,
+            _ if run.is_empty() => return,
+            _ => run_partition_point(run, |p| ykey(p) < self.lo_key),
+        };
+        self.tree.scan_run_from(run, start, self.rect, out);
     }
 }
 

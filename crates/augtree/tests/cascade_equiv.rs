@@ -6,11 +6,11 @@
 //! cascading").  So the contract pinned here is:
 //!
 //! * answers bit-identical on every path (`query` = cascaded blocked,
-//!   `query_flat` = cascaded flat, `query_uncascaded` = blocked searched,
-//!   `query_flat_uncascaded` = flat searched);
-//! * the two cascaded paths charge **identically** (same reads, same
+//!   `query_uncascaded` = blocked searched, `query_flat_uncascaded` = flat
+//!   searched);
+//! * the two searched paths charge **identically** (same reads, same
 //!   writes — only machine addresses differ);
-//! * write charges identical across all four paths (cascading touches
+//! * write charges identical across all three paths (cascading touches
 //!   reads only);
 //! * cascaded reads genuinely drop below the searched-run reads at depth;
 //! * deterministic: re-running a query charges the same deltas;
@@ -18,10 +18,8 @@
 //!   cascade so queries fall back to the searched descent with charges
 //!   equal to `query_uncascaded`.
 //!
-//! Counter checks difference the process-global ARAM counters, so tests
-//! serialize on [`counter_guard`].
-
-use std::sync::{Mutex, MutexGuard, OnceLock};
+//! Counter checks difference the calling thread's ARAM ledger, which
+//! concurrent tests never charge.
 
 use proptest::prelude::*;
 use pwe_asym::CounterSnapshot;
@@ -31,15 +29,6 @@ use pwe_geom::generators::uniform_points_2d;
 use pwe_geom::point::Point2;
 
 const ALPHAS: [usize; 3] = [2, 8, 64];
-
-static COUNTER_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-
-fn counter_guard() -> MutexGuard<'static, ()> {
-    COUNTER_LOCK
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 /// Runs `f`, returning its answer plus the (reads, writes) it charged.
 fn charged<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
@@ -62,7 +51,7 @@ fn rt_points(n: usize, seed: u64) -> Vec<RtPoint> {
 }
 
 /// The bench workload shape (wide in x, thin in y): answers equal on all
-/// four paths, cascaded flat/blocked charge-identical, writes equal
+/// three paths, searched flat/blocked charge-identical, writes equal
 /// everywhere, and the aggregate cascaded read bill strictly below the
 /// searched-run one — the `Θ(log² n) → Θ(log n)` drop made measurable.
 /// The sizes are per-α: at α = 2 every node is critical, so the searched
@@ -71,7 +60,6 @@ fn rt_points(n: usize, seed: u64) -> Vec<RtPoint> {
 /// deterministic, so these are stable, not tuned, thresholds).
 #[test]
 fn cascade_reduces_reads_at_depth() {
-    let _g = counter_guard();
     for &(alpha, n) in &[(2usize, 100_000usize), (8, 20_000), (64, 20_000)] {
         let pts = rt_points(n, 0xca5c + alpha as u64);
         let tree = RangeTree2D::build(&pts, alpha);
@@ -95,21 +83,14 @@ fn cascade_reduces_reads_at_depth() {
                 y_max: y + h,
             };
             let (a, cr, cw) = charged(|| tree.query(&rect));
-            let (b, fr, fw) = charged(|| tree.query_flat(&rect));
             let (c, ur, uw) = charged(|| tree.query_uncascaded(&rect));
             let (d, vr, vw) = charged(|| tree.query_flat_uncascaded(&rect));
-            assert_eq!(a, b, "cascaded blocked vs flat answers α={alpha} q={q}");
             assert_eq!(a, c, "cascaded vs uncascaded answers α={alpha} q={q}");
             assert_eq!(a, d, "cascaded vs flat-searched answers α={alpha} q={q}");
-            assert_eq!(
-                (cr, cw),
-                (fr, fw),
-                "cascaded blocked/flat must be charge-identical α={alpha} q={q}"
-            );
             assert_eq!(ur, vr, "searched paths charge alike α={alpha} q={q}");
             assert_eq!(
-                [cw, fw, uw],
-                [vw, vw, vw],
+                [cw, uw],
+                [vw, vw],
                 "write charges never move α={alpha} q={q}"
             );
             casc_reads += cr;
@@ -126,7 +107,6 @@ fn cascade_reduces_reads_at_depth() {
 /// the cascaded locate sequence is a pure function of (tree, rect).
 #[test]
 fn cascaded_charges_are_deterministic() {
-    let _g = counter_guard();
     let tree = RangeTree2D::build(&rt_points(1500, 7), 8);
     let rect = Rect {
         x_min: 0.2,
@@ -143,8 +123,8 @@ fn cascaded_charges_are_deterministic() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // Arbitrary rectangles and sizes: answers equal on all four paths,
-    // cascaded flat/blocked charge-identical, writes equal everywhere.
+    // Arbitrary rectangles and sizes: answers equal on all three paths,
+    // writes equal everywhere.
     // (Read *reduction* is asserted in the deterministic depth test above —
     // on tiny trees a bridge hop can legitimately out-cost a 1-probe run
     // search, and that is fine; correctness may never depend on it.)
@@ -154,35 +134,30 @@ proptest! {
         seed in 0u64..50,
         rects in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..0.5, 0.0f64..0.5), 1..12),
     ) {
-        let _g = counter_guard();
         let pts = rt_points(n, seed);
         for alpha in ALPHAS {
             let tree = RangeTree2D::build(&pts, alpha);
             for &(x, y, w, h) in &rects {
                 let rect = Rect { x_min: x, x_max: x + w, y_min: y, y_max: y + h };
-                let (a, cr, cw) = charged(|| tree.query(&rect));
-                let (b, fr, fw) = charged(|| tree.query_flat(&rect));
+                let (a, _, cw) = charged(|| tree.query(&rect));
                 let (c, _, uw) = charged(|| tree.query_uncascaded(&rect));
                 let (d, _, vw) = charged(|| tree.query_flat_uncascaded(&rect));
-                prop_assert_eq!(&a, &b, "cascaded pair answers α={} rect={:?}", alpha, rect);
                 prop_assert_eq!(&a, &c, "vs uncascaded α={} rect={:?}", alpha, rect);
                 prop_assert_eq!(&a, &d, "vs flat-searched α={} rect={:?}", alpha, rect);
-                prop_assert_eq!((cr, cw), (fr, fw), "cascaded charges α={} rect={:?}", alpha, rect);
-                prop_assert_eq!([cw, fw], [uw, vw], "write parity α={} rect={:?}", alpha, rect);
+                prop_assert_eq!([cw, uw], [vw, vw], "write parity α={} rect={:?}", alpha, rect);
             }
         }
     }
 
-    // Tombstoned points stay invisible on the cascaded paths (deletion does
+    // Tombstoned points stay invisible on the cascaded path (deletion does
     // not drop the index — catalogs keep the dead points, the report
-    // filters them — and the cascaded pair stays charge-identical).
+    // filters them).
     #[test]
     fn prop_cascade_with_deletes(
         n in 2usize..300,
         seed in 0u64..50,
         del_stride in 2usize..6,
     ) {
-        let _g = counter_guard();
         let pts = rt_points(n, seed);
         for alpha in ALPHAS {
             let mut tree = RangeTree2D::build(&pts, alpha);
@@ -190,12 +165,9 @@ proptest! {
                 tree.delete(id);
             }
             let rect = Rect { x_min: 0.1, x_max: 0.9, y_min: 0.2, y_max: 0.8 };
-            let (a, cr, cw) = charged(|| tree.query(&rect));
-            let (b, fr, fw) = charged(|| tree.query_flat(&rect));
-            let (c, _, _) = charged(|| tree.query_uncascaded(&rect));
-            prop_assert_eq!(&a, &b, "α={}", alpha);
+            let a = tree.query(&rect);
+            let c = tree.query_uncascaded(&rect);
             prop_assert_eq!(&a, &c, "α={}", alpha);
-            prop_assert_eq!((cr, cw), (fr, fw), "α={}", alpha);
             prop_assert!(a.iter().all(|id| id % del_stride as u64 != 0));
         }
     }
@@ -210,7 +182,6 @@ proptest! {
         seed in 0u64..50,
         extra in 1usize..20,
     ) {
-        let _g = counter_guard();
         let pts = rt_points(n, seed);
         for alpha in ALPHAS {
             let mut tree = RangeTree2D::build(&pts, alpha);
@@ -230,7 +201,7 @@ proptest! {
             let rect = Rect { x_min: 0.0, x_max: 1.0, y_min: 0.0, y_max: 1.0 };
             let (a, cr, cw) = charged(|| tree.query(&rect));
             let (b, ur, uw) = charged(|| tree.query_uncascaded(&rect));
-            let (c, fr, fw) = charged(|| tree.query_flat(&rect));
+            let (c, fr, fw) = charged(|| tree.query_flat_uncascaded(&rect));
             prop_assert_eq!(&a, &b, "α={}", alpha);
             prop_assert_eq!(&a, &c, "α={}", alpha);
             prop_assert_eq!((cr, cw), (ur, uw),
@@ -241,29 +212,9 @@ proptest! {
     }
 }
 
-/// `query_blocked` is the same entry as `query` (the default path *is* the
-/// blocked cascaded one) — pinned so the name keeps meaning what the bench
-/// rows say it means.
-#[test]
-fn query_blocked_is_the_default_path() {
-    let _g = counter_guard();
-    let tree = RangeTree2D::build(&rt_points(800, 3), 8);
-    let rect = Rect {
-        x_min: 0.25,
-        x_max: 0.75,
-        y_min: 0.1,
-        y_max: 0.3,
-    };
-    let (a, r1, w1) = charged(|| tree.query(&rect));
-    let (b, r2, w2) = charged(|| tree.query_blocked(&rect));
-    assert_eq!(a, b);
-    assert_eq!((r1, w1), (r2, w2));
-}
-
 #[test]
 #[ignore]
 fn probe_read_landscape() {
-    let _g = counter_guard();
     for &n in &[4000usize, 20000, 100000] {
         for &alpha in &ALPHAS {
             let pts = rt_points(n, 0xca5c + alpha as u64);

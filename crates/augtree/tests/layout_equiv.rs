@@ -1,36 +1,21 @@
-//! Blocked-vs-flat equivalence: every query that can descend a
+//! Blocked-vs-flat equivalence: every query walk that can run over a
 //! [`pwe_primitives::layout::BlockedTree`] cache must return the same
-//! answers AND charge the same ARAM reads/writes as the flat arena descent
-//! it mirrors (MODEL.md "Cache cost vs. ARAM cost" — blocked layouts change
+//! answers AND charge the same ARAM reads/writes as the same walk over the
+//! flat arena (MODEL.md "Cache cost vs. ARAM cost" — blocked layouts change
 //! machine addresses, never the cost model).
 //!
-//! The counter checks difference the process-global ARAM counters around
-//! each side, so every test that asserts counter equality serializes on
-//! [`counter_guard`] and runs both sides back-to-back on this thread with
-//! no other charged work in flight.
-
-use std::sync::{Mutex, MutexGuard, OnceLock};
+//! The counter checks difference the calling thread's ARAM ledger around
+//! each side, which concurrent tests never charge.
 
 use proptest::prelude::*;
 use pwe_asym::CounterSnapshot;
 use pwe_augtree::interval::IntervalTree;
-use pwe_augtree::priority::{PrioritySearchTree, PsPoint};
 use pwe_augtree::range_tree::{RangeTree2D, RtPoint};
 use pwe_geom::bbox::Rect;
 use pwe_geom::generators::{random_intervals, uniform_points_2d};
 use pwe_geom::point::Point2;
 
 const ALPHAS: [usize; 3] = [2, 8, 64];
-
-/// Serializes counter-differencing tests (the ARAM counters are global).
-static COUNTER_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-
-fn counter_guard() -> MutexGuard<'static, ()> {
-    COUNTER_LOCK
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 /// Runs `f`, returning its answer plus the (reads, writes) it charged.
 fn charged<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
@@ -52,24 +37,12 @@ fn rt_points(n: usize, seed: u64) -> Vec<RtPoint> {
         .collect()
 }
 
-fn ps_points(n: usize, seed: u64) -> Vec<PsPoint> {
-    uniform_points_2d(n, seed)
-        .into_iter()
-        .enumerate()
-        .map(|(i, point)| PsPoint {
-            point,
-            id: i as u64,
-        })
-        .collect()
-}
-
 /// The bench's query_compare rectangle shape (wide in x, thin in y) at a
 /// fixed size/α grid — the workload where the blocked report walk earns its
 /// keep, and the one that caught the leaf-with-inner precedence bug the
 /// proptests below now also cover.
 #[test]
 fn range_tree_blocked_matches_flat_on_bench_rects() {
-    let _g = counter_guard();
     for &n in &[257usize, 1024, 4096] {
         for &alpha in &ALPHAS {
             let pts = rt_points(n, 0x5eed + n as u64);
@@ -92,8 +65,8 @@ fn range_tree_blocked_matches_flat_on_bench_rects() {
                     y_min: y,
                     y_max: y + h,
                 };
-                let (a, fr, fw) = charged(|| tree.query_flat(&rect));
-                let (b, br, bw) = charged(|| tree.query(&rect));
+                let (a, fr, fw) = charged(|| tree.query_flat_uncascaded(&rect));
+                let (b, br, bw) = charged(|| tree.query_uncascaded(&rect));
                 assert_eq!(a, b, "answers n={n} alpha={alpha} q={q}");
                 assert_eq!(
                     (fr, fw),
@@ -117,7 +90,6 @@ proptest! {
         seed in 0u64..50,
         queries in proptest::collection::vec(0.0f64..1000.0, 1..16),
     ) {
-        let _g = counter_guard();
         let intervals = random_intervals(n, 1000.0, 40.0, seed);
         for alpha in ALPHAS {
             let tree = IntervalTree::build_parallel(&intervals, alpha);
@@ -130,7 +102,8 @@ proptest! {
         }
     }
 
-    // 2-D range reporting: `query` (blocked when cached) vs `query_flat`,
+    // 2-D range reporting: the searched-run walk over the blocked cache
+    // (`query_uncascaded`) vs the flat arena (`query_flat_uncascaded`),
     // over arbitrary rectangles.
     #[test]
     fn prop_range_blocked_equals_flat(
@@ -138,37 +111,16 @@ proptest! {
         seed in 0u64..50,
         rects in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..0.5, 0.0f64..0.5), 1..12),
     ) {
-        let _g = counter_guard();
         let pts = rt_points(n, seed);
         for alpha in ALPHAS {
             let tree = RangeTree2D::build(&pts, alpha);
             for &(x, y, w, h) in &rects {
                 let rect = Rect { x_min: x, x_max: x + w, y_min: y, y_max: y + h };
-                let (a, fr, fw) = charged(|| tree.query_flat(&rect));
-                let (b, br, bw) = charged(|| tree.query(&rect));
+                let (a, fr, fw) = charged(|| tree.query_flat_uncascaded(&rect));
+                let (b, br, bw) = charged(|| tree.query_uncascaded(&rect));
                 prop_assert_eq!(&a, &b, "answers α={} rect={:?}", alpha, rect);
                 prop_assert_eq!((fr, fw), (br, bw), "counters α={} rect={:?}", alpha, rect);
             }
-        }
-    }
-
-    // 3-sided queries: the forced-blocked descent (`query_3sided_blocked`,
-    // kept callable although the flat arena is the measured default) vs
-    // the flat path.
-    #[test]
-    fn prop_priority_blocked_equals_flat(
-        n in 0usize..500,
-        seed in 0u64..50,
-        queries in proptest::collection::vec((0.0f64..1.0, 0.0f64..0.6, 0.0f64..1.0), 1..12),
-    ) {
-        let _g = counter_guard();
-        let pts = ps_points(n, seed);
-        let tree = PrioritySearchTree::build_parallel(&pts);
-        for &(x_lo, w, y_bot) in &queries {
-            let (a, fr, fw) = charged(|| tree.query_3sided_flat(x_lo, x_lo + w, y_bot));
-            let (b, br, bw) = charged(|| tree.query_3sided_blocked(x_lo, x_lo + w, y_bot));
-            prop_assert_eq!(&a, &b, "answers q=({}, {}, {})", x_lo, w, y_bot);
-            prop_assert_eq!((fr, fw), (br, bw), "counters q=({}, {}, {})", x_lo, w, y_bot);
         }
     }
 
@@ -180,15 +132,14 @@ proptest! {
         seed in 0u64..50,
         del_stride in 2usize..6,
     ) {
-        let _g = counter_guard();
         let pts = rt_points(n, seed);
         let mut tree = RangeTree2D::build(&pts, 8);
         for id in (0..n as u64).step_by(del_stride) {
             tree.delete(id);
         }
         let rect = Rect { x_min: 0.1, x_max: 0.9, y_min: 0.2, y_max: 0.8 };
-        let (a, fr, fw) = charged(|| tree.query_flat(&rect));
-        let (b, br, bw) = charged(|| tree.query(&rect));
+        let (a, fr, fw) = charged(|| tree.query_flat_uncascaded(&rect));
+        let (b, br, bw) = charged(|| tree.query_uncascaded(&rect));
         prop_assert_eq!(&a, &b);
         prop_assert_eq!((fr, fw), (br, bw));
         prop_assert!(a.iter().all(|id| id % del_stride as u64 != 0));
@@ -199,7 +150,6 @@ proptest! {
 /// fallback) and a fresh build restores blocked/flat equivalence.
 #[test]
 fn insert_drops_cache_and_rebuild_restores_equivalence() {
-    let _g = counter_guard();
     let mut tree = RangeTree2D::build(&rt_points(300, 9), 8);
     tree.insert(RtPoint {
         point: Point2::new([0.5, 0.5]),
@@ -211,7 +161,7 @@ fn insert_drops_cache_and_rebuild_restores_equivalence() {
         y_min: 0.0,
         y_max: 1.0,
     };
-    let (a, fr, fw) = charged(|| tree.query_flat(&rect));
+    let (a, fr, fw) = charged(|| tree.query_flat_uncascaded(&rect));
     let (b, br, bw) = charged(|| tree.query(&rect));
     assert_eq!(a, b, "post-insert answers (flat fallback)");
     assert_eq!((fr, fw), (br, bw), "post-insert counters");

@@ -23,11 +23,11 @@
 //!   parallel allocation-lean engine; `BENCH_augtree.json` holds committed
 //!   trajectory points of this schema).
 //! * **`--queries`** — the flat-vs-blocked query A/B: one `query_compare`
-//!   line per query workload (`interval_stab`, `range2d`, `range3sided`,
-//!   `kdnn`, `delaunay_locate`), timing the same query stream against the
-//!   flat arena descent and the vEB-blocked descent of the same structure
-//!   (for `delaunay_locate`, the one-at-a-time exact predicates against the
-//!   width-filtered batch kernels).  The stream is processed in batches of
+//!   line per query workload (`interval_stab`, `range2d`,
+//!   `range2d_cascade`, `delaunay_locate`, `incircle_simd`), timing the same
+//!   query stream against the flat arena descent and the vEB-blocked
+//!   descent of the same structure (for `delaunay_locate`, the one-at-a-time
+//!   exact predicates against the width-filtered batch kernels).  The stream is processed in batches of
 //!   `--qbatch` queries (default 256).  Both sides must report identical
 //!   answers and identical read/write/depth counters — the blocked layout
 //!   is a machine-level rearrangement, invisible to the cost model — and
@@ -99,8 +99,7 @@ use pwe_augtree::priority::{PrioritySearchTree, PsPoint};
 use pwe_augtree::range_tree::{RangeTree2D, RtPoint};
 use pwe_delaunay::{triangulate_baseline, triangulate_write_efficient};
 use pwe_geom::generators::{
-    random_intervals, random_three_sided_queries, stabbing_queries, uniform_grid_points,
-    uniform_points_2d,
+    random_intervals, stabbing_queries, uniform_grid_points, uniform_points_2d,
 };
 use pwe_geom::predicates::is_ccw;
 use pwe_geom::{in_circle, in_circle_batch, in_circle_batch_scalar, GridPoint, Rect};
@@ -146,8 +145,6 @@ const QUERY_WORKLOADS: &[&str] = &[
     "interval_stab",
     "range2d",
     "range2d_cascade",
-    "range3sided",
-    "kdnn",
     "delaunay_locate",
     "incircle_simd",
 ];
@@ -631,93 +628,6 @@ fn run_query_compare(workload: &str, n_override: Option<usize>, qbatch: usize) -
                     for chunk in qs.chunks(qbatch) {
                         for rect in chunk {
                             acc = fold_ids(acc, &after(rect));
-                        }
-                    }
-                    acc
-                })
-            });
-            QueryCompare {
-                n,
-                queries: qs.len(),
-                flat,
-                blocked,
-                answers_equal: sf == sb,
-            }
-        }
-        "range3sided" => {
-            let n = n_override.unwrap_or(200_000);
-            let points: Vec<PsPoint> = uniform_points_2d(n, 23)
-                .into_iter()
-                .enumerate()
-                .map(|(i, point)| PsPoint {
-                    point,
-                    id: i as u64,
-                })
-                .collect();
-            let tree = PrioritySearchTree::build_parallel(&points);
-            let qs = random_three_sided_queries((n / 50).clamp(100, 4_000), 0.01, 79);
-            for &(lo, hi, y) in qs.iter().take(64) {
-                tree.query_3sided_flat(lo, hi, y);
-                tree.query_3sided_blocked(lo, hi, y);
-            }
-            let (sf, flat) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    for chunk in qs.chunks(qbatch) {
-                        for &(lo, hi, y) in chunk {
-                            acc = fold_ids(acc, &tree.query_3sided_flat(lo, hi, y));
-                        }
-                    }
-                    acc
-                })
-            });
-            let (sb, blocked) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    for chunk in qs.chunks(qbatch) {
-                        for &(lo, hi, y) in chunk {
-                            acc = fold_ids(acc, &tree.query_3sided_blocked(lo, hi, y));
-                        }
-                    }
-                    acc
-                })
-            });
-            QueryCompare {
-                n,
-                queries: qs.len(),
-                flat,
-                blocked,
-                answers_equal: sf == sb,
-            }
-        }
-        "kdnn" => {
-            let n = n_override.unwrap_or(200_000);
-            let points = uniform_points_2d(n, 11);
-            let (tree, _) = build_p_batched(&points, recommended_p(n), 16, 13);
-            let qs = uniform_points_2d((n / 10).clamp(200, 20_000), 99);
-            for q in qs.iter().take(128) {
-                tree.nearest_flat(q);
-                tree.nearest_blocked(q);
-            }
-            let (sf, flat) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    for chunk in qs.chunks(qbatch) {
-                        for q in chunk {
-                            let hit = tree.nearest_flat(q).map(u64::from).unwrap_or(u64::MAX);
-                            acc = fold_ids(acc, &[hit]);
-                        }
-                    }
-                    acc
-                })
-            });
-            let (sb, blocked) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    for chunk in qs.chunks(qbatch) {
-                        for q in chunk {
-                            let hit = tree.nearest_blocked(q).map(u64::from).unwrap_or(u64::MAX);
-                            acc = fold_ids(acc, &[hit]);
                         }
                     }
                     acc

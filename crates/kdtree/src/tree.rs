@@ -9,7 +9,7 @@
 use pwe_asym::counters::{record_read, record_reads, record_writes};
 use pwe_geom::bbox::BBoxK;
 use pwe_geom::point::PointK;
-use pwe_primitives::layout::{BlockedTree, NO_NODE};
+use pwe_primitives::layout::{BlockedTree, FlatView, NodeSource};
 
 /// Sentinel index for "no child".
 pub const EMPTY: usize = usize::MAX;
@@ -99,16 +99,111 @@ pub(crate) struct KdBlocked {
     tails: Vec<u32>,
 }
 
-impl KdBlocked {
-    /// The `k`-th bucket entry of the leaf whose hot payload is `hot`
-    /// (head slots inline, tail slots from the packed array).
+/// What the range walks read from a node's payload, on either node source:
+/// the flat arena's [`KdNode`] itself, or the blocked cache's [`KdHot`],
+/// whose long buckets continue in [`KdBlocked::tails`].
+trait KdPayload: Copy {
+    /// Splitting dimension and value.
+    fn plane(self) -> (usize, f64);
+    /// The leaf bucket as two consecutive slices (`tails` is the blocked
+    /// cache's packed tail array; the flat arena ignores it).
+    fn bucket<'s>(&'s self, tails: &'s [u32]) -> [&'s [u32]; 2];
+}
+
+impl KdPayload for &KdNode {
     #[inline]
-    fn bucket_entry(&self, hot: &KdHot, k: usize) -> u32 {
-        debug_assert!(k < hot.blen as usize);
-        if k < HOT_BUCKET_HEAD {
-            hot.head[k]
-        } else {
-            self.tails[hot.tail as usize + (k - HOT_BUCKET_HEAD)]
+    fn plane(self) -> (usize, f64) {
+        (self.split_dim, self.split_val)
+    }
+
+    #[inline]
+    fn bucket<'s>(&'s self, _tails: &'s [u32]) -> [&'s [u32]; 2] {
+        [&self.bucket, &[]]
+    }
+}
+
+impl KdPayload for KdHot {
+    #[inline]
+    fn plane(self) -> (usize, f64) {
+        (self.split_dim as usize, self.split_val)
+    }
+
+    #[inline]
+    fn bucket<'s>(&'s self, tails: &'s [u32]) -> [&'s [u32]; 2] {
+        let blen = self.blen as usize;
+        let head = blen.min(HOT_BUCKET_HEAD);
+        [
+            &self.head[..head],
+            &tails[self.tail as usize..][..blen - head],
+        ]
+    }
+}
+
+/// One range query in flight over the node source `S`.
+struct KdWalk<'a, const K: usize, S> {
+    points: &'a [PointK<K>],
+    src: &'a S,
+    /// The blocked cache's packed bucket tails (empty for the flat arena).
+    tails: &'a [u32],
+    query: &'a BBoxK<K>,
+}
+
+impl<const K: usize, S: NodeSource> KdWalk<'_, K, S>
+where
+    S::Payload: KdPayload,
+{
+    /// Report the points of `v`'s subtree inside the query; `region` is
+    /// the part of space `v` covers.
+    fn range(&self, v: usize, region: &BBoxK<K>, out: &mut Vec<u32>, stats: &mut QueryStats) {
+        stats.nodes_visited += 1;
+        record_read();
+        let hot = self.src.payload(v);
+        let (l, r) = self.src.children(v);
+        if l == S::NONE && r == S::NONE {
+            let [head, tail] = hot.bucket(self.tails);
+            for &pi in head.iter().chain(tail) {
+                stats.points_tested += 1;
+                record_read();
+                if self.query.contains(&self.points[pi as usize]) {
+                    out.push(pi);
+                }
+            }
+            return;
+        }
+        if self.query.contains_box(region) {
+            // The whole subtree is inside the query: report it without
+            // further predicate tests (cost proportional to the output).
+            self.collect(v, out, stats);
+            return;
+        }
+        let (dim, val) = hot.plane();
+        let (left_region, right_region) = split_region(region, dim, val);
+        if l != S::NONE && self.query.intersects(&left_region) {
+            self.range(l, &left_region, out, stats);
+        }
+        if r != S::NONE && self.query.intersects(&right_region) {
+            self.range(r, &right_region, out, stats);
+        }
+    }
+
+    /// Report every point of `v`'s subtree.
+    fn collect(&self, v: usize, out: &mut Vec<u32>, stats: &mut QueryStats) {
+        stats.nodes_visited += 1;
+        record_read();
+        let hot = self.src.payload(v);
+        let (l, r) = self.src.children(v);
+        if l == S::NONE && r == S::NONE {
+            let [head, tail] = hot.bucket(self.tails);
+            out.extend_from_slice(head);
+            out.extend_from_slice(tail);
+            record_reads((head.len() + tail.len()) as u64);
+            return;
+        }
+        if l != S::NONE {
+            self.collect(l, out, stats);
+        }
+        if r != S::NONE {
+            self.collect(r, out, stats);
         }
     }
 }
@@ -124,8 +219,7 @@ pub struct KdTree<const K: usize> {
     /// build-finalize and dropped by any structural mutation (the dynamic
     /// wrappers in [`crate::dynamic`]).  Purely derived: never part of the
     /// structure's identity, identical answers and charges on either path
-    /// ([`Self::range_query_flat`] / [`Self::nearest_flat`] keep the flat
-    /// path callable).
+    /// ([`Self::range_query_flat`] keeps the flat path callable).
     pub(crate) blocked: Option<KdBlocked>,
 }
 
@@ -227,152 +321,54 @@ impl<const K: usize> KdTree<K> {
     /// cache when one is live, the flat arena otherwise — same visit set,
     /// same ARAM charges either way.
     pub fn range_query_with_stats(&self, query: &BBoxK<K>) -> (Vec<u32>, QueryStats) {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::default();
         match &self.blocked {
-            Some(kb) if kb.tree.root() != NO_NODE => {
-                let region = BBoxK::everything();
-                self.range_blocked_rec(kb, kb.tree.root(), &region, query, &mut out, &mut stats);
-            }
-            _ => {
-                if self.root != EMPTY {
-                    let region = BBoxK::everything();
-                    self.range_rec(self.root, &region, query, &mut out, &mut stats);
-                }
-            }
+            Some(kb) => self.range_walk(&kb.tree, &kb.tails, query),
+            None => self.range_walk(&self.flat(), &[], query),
         }
-        stats.reported = out.len() as u64;
-        record_writes(out.len() as u64);
-        (out, stats)
     }
 
     /// [`Self::range_query`] forced onto the flat (pre-blocked) descent —
     /// the live "before" side of the query benchmarks.  Identical answers
     /// and ARAM charges to the blocked path.
     pub fn range_query_flat(&self, query: &BBoxK<K>) -> Vec<u32> {
+        self.range_walk(&self.flat(), &[], query).0
+    }
+
+    /// The node arena as a walk source.
+    fn flat<'a>(
+        &'a self,
+    ) -> FlatView<impl Fn(usize) -> (usize, usize) + 'a, impl Fn(usize) -> &'a KdNode> {
+        FlatView::new(
+            self.root,
+            |v| (self.nodes[v].left, self.nodes[v].right),
+            |v| &self.nodes[v],
+        )
+    }
+
+    /// The one range query, over either node source.
+    fn range_walk<S: NodeSource>(
+        &self,
+        src: &S,
+        tails: &[u32],
+        query: &BBoxK<K>,
+    ) -> (Vec<u32>, QueryStats)
+    where
+        S::Payload: KdPayload,
+    {
         let mut out = Vec::new();
         let mut stats = QueryStats::default();
-        if self.root != EMPTY {
-            let region = BBoxK::everything();
-            self.range_rec(self.root, &region, query, &mut out, &mut stats);
+        if src.root() != S::NONE {
+            let walk = KdWalk {
+                points: &self.points,
+                src,
+                tails,
+                query,
+            };
+            walk.range(src.root(), &BBoxK::everything(), &mut out, &mut stats);
         }
+        stats.reported = out.len() as u64;
         record_writes(out.len() as u64);
-        out
-    }
-
-    fn range_rec(
-        &self,
-        v: usize,
-        region: &BBoxK<K>,
-        query: &BBoxK<K>,
-        out: &mut Vec<u32>,
-        stats: &mut QueryStats,
-    ) {
-        stats.nodes_visited += 1;
-        record_read();
-        let node = &self.nodes[v];
-        if node.is_leaf() {
-            for &pi in &node.bucket {
-                stats.points_tested += 1;
-                record_read();
-                if query.contains(&self.points[pi as usize]) {
-                    out.push(pi);
-                }
-            }
-            return;
-        }
-        if query.contains_box(region) {
-            // The whole subtree is inside the query: report it without
-            // further predicate tests (cost proportional to the output).
-            self.collect_subtree(v, out, stats);
-            return;
-        }
-        let (left_region, right_region) = split_region(region, node.split_dim, node.split_val);
-        if node.left != EMPTY && query.intersects(&left_region) {
-            self.range_rec(node.left, &left_region, query, out, stats);
-        }
-        if node.right != EMPTY && query.intersects(&right_region) {
-            self.range_rec(node.right, &right_region, query, out, stats);
-        }
-    }
-
-    fn collect_subtree(&self, v: usize, out: &mut Vec<u32>, stats: &mut QueryStats) {
-        stats.nodes_visited += 1;
-        record_read();
-        let node = &self.nodes[v];
-        if node.is_leaf() {
-            out.extend_from_slice(&node.bucket);
-            record_reads(node.bucket.len() as u64);
-            return;
-        }
-        if node.left != EMPTY {
-            self.collect_subtree(node.left, out, stats);
-        }
-        if node.right != EMPTY {
-            self.collect_subtree(node.right, out, stats);
-        }
-    }
-
-    /// [`Self::range_rec`] over the blocked cache: interior split planes
-    /// are read blocked-locally; leaf buckets come from the inlined head
-    /// plus the packed tails — never the cold arena.  Same pruning, visit
-    /// set and ARAM charges as the flat walk.
-    fn range_blocked_rec(
-        &self,
-        kb: &KdBlocked,
-        v: u32,
-        region: &BBoxK<K>,
-        query: &BBoxK<K>,
-        out: &mut Vec<u32>,
-        stats: &mut QueryStats,
-    ) {
-        stats.nodes_visited += 1;
-        record_read();
-        let bn = kb.tree.node(v);
-        let hot = bn.payload;
-        if bn.left == NO_NODE && bn.right == NO_NODE {
-            for k in 0..hot.blen as usize {
-                let pi = kb.bucket_entry(&hot, k);
-                stats.points_tested += 1;
-                record_read();
-                if query.contains(&self.points[pi as usize]) {
-                    out.push(pi);
-                }
-            }
-            return;
-        }
-        if query.contains_box(region) {
-            self.collect_blocked(kb, v, out, stats);
-            return;
-        }
-        let (left_region, right_region) =
-            split_region(region, hot.split_dim as usize, hot.split_val);
-        if bn.left != NO_NODE && query.intersects(&left_region) {
-            self.range_blocked_rec(kb, bn.left, &left_region, query, out, stats);
-        }
-        if bn.right != NO_NODE && query.intersects(&right_region) {
-            self.range_blocked_rec(kb, bn.right, &right_region, query, out, stats);
-        }
-    }
-
-    fn collect_blocked(&self, kb: &KdBlocked, v: u32, out: &mut Vec<u32>, stats: &mut QueryStats) {
-        stats.nodes_visited += 1;
-        record_read();
-        let bn = kb.tree.node(v);
-        if bn.left == NO_NODE && bn.right == NO_NODE {
-            let hot = bn.payload;
-            for k in 0..hot.blen as usize {
-                out.push(kb.bucket_entry(&hot, k));
-            }
-            record_reads(u64::from(hot.blen));
-            return;
-        }
-        if bn.left != NO_NODE {
-            self.collect_blocked(kb, bn.left, out, stats);
-        }
-        if bn.right != NO_NODE {
-            self.collect_blocked(kb, bn.right, out, stats);
-        }
+        (out, stats)
     }
 
     /// Exact nearest neighbour of `q` (index), or `None` for an empty tree.
@@ -390,14 +386,11 @@ impl<const K: usize> KdTree<K> {
     /// Nearest-neighbour search returning the index and the distance, with
     /// the (1+ε) pruning rule (ε = 0 gives the exact answer).
     ///
-    /// Uses the flat descent even when a blocked cache is live.  Inlining
-    /// the leaf bucket heads into the blocked payload (plus packing the
-    /// tails contiguously) recovered most of the blocked walk's earlier
-    /// ~0.85× regression — the `kdnn` row now measures ~0.97–1.06×, parity
-    /// within noise — but NN backtracking keeps the upper tree
-    /// cache-resident either way and the flat walk still wins marginally
-    /// on median, so it stays the default.  [`Self::nearest_blocked`]
-    /// keeps the blocked walk callable for that A/B.
+    /// Flat-only: nearest-neighbour search always walks the node arena.
+    /// Backtracking keeps the upper tree cache-resident on either layout,
+    /// and a blocked NN walk did not show a clear win: the committed `kdnn`
+    /// row in `BENCH_queries.json` reads 1.094× for it, one best-of-5 pair
+    /// on a 1-CPU container, and earlier measurements read 0.97×–1.06×.
     pub fn nearest_impl(&self, q: &PointK<K>, eps: f64) -> Option<(u32, f64)> {
         if self.root == EMPTY {
             return None;
@@ -406,32 +399,6 @@ impl<const K: usize> KdTree<K> {
         let shrink = 1.0 / ((1.0 + eps) * (1.0 + eps));
         self.nn_rec(self.root, &BBoxK::everything(), q, shrink, &mut best);
         best.map(|(i, d2)| (i, d2.sqrt()))
-    }
-
-    /// Exact nearest neighbour on the flat (pre-blocked) descent — the
-    /// "before" side of the query benchmarks; identical to [`Self::nearest`]
-    /// (which measured faster than the blocked walk and is the default).
-    pub fn nearest_flat(&self, q: &PointK<K>) -> Option<u32> {
-        self.nearest(q)
-    }
-
-    /// Exact nearest neighbour forced through the blocked descent cache
-    /// (flat when no cache is live) — the "after" side of the `kdnn`
-    /// `query_compare` row.  Identical answers and ARAM charges to
-    /// [`Self::nearest`]; kept measurable, not default (see
-    /// [`Self::nearest_impl`]).
-    pub fn nearest_blocked(&self, q: &PointK<K>) -> Option<u32> {
-        if self.root == EMPTY {
-            return None;
-        }
-        let mut best: Option<(u32, f64)> = None;
-        match &self.blocked {
-            Some(kb) if kb.tree.root() != NO_NODE => {
-                self.nn_blocked_rec(kb, kb.tree.root(), &BBoxK::everything(), q, 1.0, &mut best)
-            }
-            _ => self.nn_rec(self.root, &BBoxK::everything(), q, 1.0, &mut best),
-        }
-        best.map(|(i, _)| i)
     }
 
     fn nn_rec(
@@ -472,52 +439,6 @@ impl<const K: usize> KdTree<K> {
         for (child, child_region) in order {
             if child != EMPTY {
                 self.nn_rec(child, &child_region, q, shrink, best);
-            }
-        }
-    }
-
-    /// [`Self::nn_rec`] over the blocked cache: same pruning, descent order
-    /// and ARAM charges; leaf buckets come from the inlined head plus the
-    /// packed tails — never the cold arena.
-    fn nn_blocked_rec(
-        &self,
-        kb: &KdBlocked,
-        v: u32,
-        region: &BBoxK<K>,
-        q: &PointK<K>,
-        shrink: f64,
-        best: &mut Option<(u32, f64)>,
-    ) {
-        record_read();
-        let bn = kb.tree.node_unprefetched(v);
-        if let Some((_, best_d2)) = best {
-            if region.dist2_to_point(q) > *best_d2 * shrink {
-                return;
-            }
-        }
-        let hot = bn.payload;
-        if bn.left == NO_NODE && bn.right == NO_NODE {
-            for k in 0..hot.blen as usize {
-                let pi = kb.bucket_entry(&hot, k);
-                record_read();
-                let d2 = self.points[pi as usize].dist2(q);
-                if best.is_none_or(|(_, b)| d2 < b) {
-                    *best = Some((pi, d2));
-                }
-            }
-            return;
-        }
-        let (left_region, right_region) =
-            split_region(region, hot.split_dim as usize, hot.split_val);
-        let go_left_first = q.coords[hot.split_dim as usize] < hot.split_val;
-        let order = if go_left_first {
-            [(bn.left, left_region), (bn.right, right_region)]
-        } else {
-            [(bn.right, right_region), (bn.left, left_region)]
-        };
-        for (child, child_region) in order {
-            if child != NO_NODE {
-                self.nn_blocked_rec(kb, child, &child_region, q, shrink, best);
             }
         }
     }

@@ -181,19 +181,114 @@ impl<T: Copy> BlockedTree<T> {
         n
     }
 
-    /// [`Self::node`] without the child prefetch hints.  For walks that
-    /// revisit the upper tree constantly (nearest-neighbour backtracking,
-    /// bounded-range descents) the children are usually cache-resident
-    /// already and the two hint instructions per visit are pure overhead.
-    #[inline]
-    pub fn node_unprefetched(&self, p: u32) -> &BlockedNode<T> {
-        &self.nodes[p as usize]
-    }
-
     /// All nodes in blocked order (diagnostics and tests).
     #[inline]
     pub fn nodes(&self) -> &[BlockedNode<T>] {
         &self.nodes
+    }
+}
+
+/// A read-only binary tree as a query descent sees it: the root, each
+/// node's children, its hot payload and its slot in the original arena.
+///
+/// Every query walk in the workspace is written once against this trait and
+/// monomorphized per source — the [`BlockedTree`] cache or the structure's
+/// own arena through a [`FlatView`] — so both layouts visit the same logical
+/// nodes and charge the same ARAM reads by construction.  Handles are
+/// source-local positions; [`Self::NONE`] marks a missing child.
+pub trait NodeSource {
+    /// The hot per-node fields a walk reads.
+    type Payload: Copy;
+    /// The handle of a missing child (and the root of an empty tree).
+    const NONE: usize;
+    /// The root handle, or [`Self::NONE`].
+    fn root(&self) -> usize;
+    /// The `(left, right)` child handles of `v`.
+    fn children(&self, v: usize) -> (usize, usize);
+    /// The hot payload of `v`.  Reading it is the visit: the blocked source
+    /// prefetches the children's cache lines here.
+    fn payload(&self, v: usize) -> Self::Payload;
+    /// The slot of `v` in the original (digested) arena.
+    fn orig(&self, v: usize) -> usize;
+}
+
+impl<T: Copy> NodeSource for BlockedTree<T> {
+    type Payload = T;
+    const NONE: usize = NO_NODE as usize;
+
+    #[inline]
+    fn root(&self) -> usize {
+        self.root as usize
+    }
+
+    #[inline]
+    fn children(&self, v: usize) -> (usize, usize) {
+        let n = &self.nodes[v];
+        (n.left as usize, n.right as usize)
+    }
+
+    #[inline]
+    fn payload(&self, v: usize) -> T {
+        self.node(v as u32).payload
+    }
+
+    #[inline]
+    fn orig(&self, v: usize) -> usize {
+        self.nodes[v].orig as usize
+    }
+}
+
+/// A flat arena seen as a [`NodeSource`]: handles are the arena's own slots
+/// (`orig` is the identity) and `usize::MAX` marks a missing child, the
+/// convention of every arena in the workspace.  `children` and `payload`
+/// are the same slot functions [`BlockedTree::build`] takes, so a
+/// structure's flat view and its blocked cache read one definition of the
+/// hot fields.
+pub struct FlatView<C, P> {
+    root: usize,
+    children: C,
+    payload: P,
+}
+
+impl<T: Copy, C: Fn(usize) -> (usize, usize), P: Fn(usize) -> T> FlatView<C, P> {
+    /// The view of the arena rooted at `root` (`usize::MAX` when empty).
+    #[inline]
+    pub fn new(root: usize, children: C, payload: P) -> Self {
+        FlatView {
+            root,
+            children,
+            payload,
+        }
+    }
+
+    /// The blocked cache of this view's `n`-slot arena.
+    pub fn blocked(&self, n: usize) -> BlockedTree<T> {
+        BlockedTree::build(n, self.root, &self.children, &self.payload)
+    }
+}
+
+impl<T: Copy, C: Fn(usize) -> (usize, usize), P: Fn(usize) -> T> NodeSource for FlatView<C, P> {
+    type Payload = T;
+    const NONE: usize = usize::MAX;
+
+    #[inline]
+    fn root(&self) -> usize {
+        self.root
+    }
+
+    #[inline]
+    fn children(&self, v: usize) -> (usize, usize) {
+        (self.children)(v)
+    }
+
+    #[inline]
+    fn payload(&self, v: usize) -> T {
+        (self.payload)(v)
+    }
+
+    #[inline]
+    fn orig(&self, v: usize) -> usize {
+        v
     }
 }
 
@@ -249,6 +344,105 @@ mod tests {
                 match r {
                     usize::MAX => assert_eq!(bn.right, NO_NODE),
                     r => assert_eq!(t.node(bn.right).orig as usize, r),
+                }
+            }
+        }
+    }
+
+    /// `(orig, payload)` of every node of `src` in preorder.
+    fn preorder<S: NodeSource>(src: &S) -> Vec<(usize, S::Payload)> {
+        let mut out = Vec::new();
+        let mut stack = vec![src.root()];
+        while let Some(v) = stack.pop() {
+            if v == S::NONE {
+                continue;
+            }
+            out.push((src.orig(v), src.payload(v)));
+            let (l, r) = src.children(v);
+            stack.push(r);
+            stack.push(l);
+        }
+        out
+    }
+
+    /// A random arena holding a binary search tree over `n` keys: slots are
+    /// a random permutation of the insertion order, so the root is not
+    /// slot 0.  `sorted` keys give a path (maximally skewed); the balanced
+    /// shape inserts medians first.
+    fn random_arena(n: usize, seed: u64, balanced: bool) -> (usize, Vec<(usize, usize)>) {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        if balanced {
+            let mut ranges = std::collections::VecDeque::from([(0usize, n)]);
+            while let Some((lo, hi)) = ranges.pop_front() {
+                if lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    order.push(mid);
+                    ranges.push_back((lo, mid));
+                    ranges.push_back((mid + 1, hi));
+                }
+            }
+        } else {
+            // Skewed: mostly ascending keys with a random swap here and there.
+            order.extend(0..n);
+            for i in 1..n {
+                if next() % 8 == 0 {
+                    order.swap(i - 1, i);
+                }
+            }
+        }
+        let mut slot_of: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            slot_of.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        let mut kids = vec![(usize::MAX, usize::MAX); n];
+        let mut key_at = vec![0usize; n];
+        let mut root = usize::MAX;
+        for &key in &order {
+            let s = slot_of[key];
+            key_at[s] = key;
+            if root == usize::MAX {
+                root = s;
+                continue;
+            }
+            let mut cur = root;
+            loop {
+                let side = if key < key_at[cur] {
+                    &mut kids[cur].0
+                } else {
+                    &mut kids[cur].1
+                };
+                if *side == usize::MAX {
+                    *side = s;
+                    break;
+                }
+                cur = *side;
+            }
+        }
+        (root, kids)
+    }
+
+    #[test]
+    fn flat_and_blocked_sources_agree_on_preorder() {
+        for n in [0usize, 1, 2, 17, 300, 2000] {
+            for seed in 1..4u64 {
+                for balanced in [true, false] {
+                    let (root, kids) = random_arena(n, seed, balanced);
+                    let flat = FlatView::new(root, |v| kids[v], |v| (v as u64) * 7 + seed);
+                    let blocked = flat.blocked(n);
+                    let a = preorder(&flat);
+                    assert_eq!(a.len(), n, "n={n} seed={seed} balanced={balanced}");
+                    assert_eq!(
+                        a,
+                        preorder(&blocked),
+                        "n={n} seed={seed} balanced={balanced}"
+                    );
                 }
             }
         }

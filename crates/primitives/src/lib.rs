@@ -69,7 +69,7 @@ pub use cascade::{CascadeEntry, CascadeIndex};
 pub use epoch::{EpochCell, EpochGuard, PreparedGen};
 pub use faultpoint::InjectedFault;
 pub use hash::{DetHashMap, DetHashSet, DetState};
-pub use layout::{BlockedNode, BlockedTree, NO_NODE};
+pub use layout::{BlockedNode, BlockedTree, FlatView, NodeSource, NO_NODE};
 pub use pack::{pack_flagged, pack_indices};
 pub use permute::{random_permutation, shuffle_in_place};
 pub use priority_write::{PriorityCell, PriorityIndex};

@@ -89,19 +89,6 @@ pub fn run_partition_point<T, F: Fn(&T) -> bool>(s: &[T], pred: F) -> usize {
     branchless_partition_point(s, pred)
 }
 
-/// The pre-blocked searched-run baseline: `slice::partition_point`'s
-/// conditional-branch loop with the same `⌈log₂ max(m, 2)⌉` read charge as
-/// [`run_partition_point`] (identical result, identical ARAM cost,
-/// different machine code).  Kept callable so the `query_compare` BENCH
-/// rows can time this PR's searched-run change live — the flat "before"
-/// side probes branchy, the blocked "after" side branchless — without the
-/// counters moving; no default query path uses it.
-#[inline]
-pub fn baseline_run_partition_point<T, F: Fn(&T) -> bool>(s: &[T], pred: F) -> usize {
-    record_reads(log2_ceil(s.len().max(2)));
-    s.partition_point(pred)
-}
-
 /// Exact-match search over a packed run sorted by `key(e)`: `Ok(i)` if
 /// `s[i]` has key `k`, `Err(i)` with the insertion point otherwise.  Same
 /// contract as `slice::binary_search_by_key`, built on the branchless

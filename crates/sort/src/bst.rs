@@ -7,7 +7,7 @@
 //! point is precisely that the randomness of the insertion order suffices.
 
 use pwe_asym::counters::{record_read, record_reads, record_writes};
-use pwe_primitives::layout::{BlockedTree, NO_NODE};
+use pwe_primitives::layout::{BlockedTree, FlatView, NodeSource};
 
 /// Sentinel index for "no child".
 pub const EMPTY: usize = usize::MAX;
@@ -93,69 +93,53 @@ impl<K: Ord + Copy> Bst<K> {
     /// node visited and performing **no writes**.  Returns the slot and the
     /// number of nodes visited.
     pub fn locate(&self, key: K) -> (Slot, u64) {
-        if self.root == EMPTY {
+        Self::locate_in(&self.flat(), key)
+    }
+
+    /// [`Bst::locate`] over any view of the tree — the arena itself or a
+    /// snapshot taken by [`Bst::blocked_snapshot`]: identical slot, visit
+    /// count and ARAM charges (one read per node visited, no writes); only
+    /// the machine addresses change.
+    pub fn locate_in<S: NodeSource<Payload = K>>(src: &S, key: K) -> (Slot, u64) {
+        let mut cur = src.root();
+        if cur == S::NONE {
             return (Slot::Root, 0);
         }
-        let mut cur = self.root;
         let mut visited = 0u64;
         loop {
             visited += 1;
             record_read();
-            let node = &self.nodes[cur];
-            if key < node.key {
-                if node.left == EMPTY {
-                    return (Slot::Left(cur), visited);
+            let (l, r) = src.children(cur);
+            if key < src.payload(cur) {
+                if l == S::NONE {
+                    return (Slot::Left(src.orig(cur)), visited);
                 }
-                cur = node.left;
+                cur = l;
             } else {
-                if node.right == EMPTY {
-                    return (Slot::Right(cur), visited);
+                if r == S::NONE {
+                    return (Slot::Right(src.orig(cur)), visited);
                 }
-                cur = node.right;
+                cur = r;
             }
         }
     }
 
-    /// A blocked-permutation snapshot of the current (frozen) tree for
-    /// cache-conscious batch locates: keys move into vEB-blocked order, and
-    /// [`Bst::locate_blocked`] descends the snapshot instead of the arena.
-    /// Purely derived, uncharged physical-layout maintenance — the snapshot
-    /// is read-only and the arena stays the source of truth.
-    pub fn blocked_snapshot(&self) -> BlockedTree<K> {
-        BlockedTree::build(
-            self.nodes.len(),
+    /// The arena as a walk source.
+    fn flat(&self) -> FlatView<impl Fn(usize) -> (usize, usize) + '_, impl Fn(usize) -> K + '_> {
+        FlatView::new(
             self.root,
             |v| (self.nodes[v].left, self.nodes[v].right),
             |v| self.nodes[v].key,
         )
     }
 
-    /// [`Bst::locate`] over a blocked snapshot taken by
-    /// [`Bst::blocked_snapshot`]: identical slot, visit count and ARAM
-    /// charges (one read per node visited, no writes); only the machine
-    /// addresses change.
-    pub fn locate_blocked(&self, b: &BlockedTree<K>, key: K) -> (Slot, u64) {
-        if b.root() == NO_NODE {
-            return (Slot::Root, 0);
-        }
-        let mut cur = b.root();
-        let mut visited = 0u64;
-        loop {
-            visited += 1;
-            record_read();
-            let bn = b.node(cur);
-            if key < bn.payload {
-                if bn.left == NO_NODE {
-                    return (Slot::Left(bn.orig as usize), visited);
-                }
-                cur = bn.left;
-            } else {
-                if bn.right == NO_NODE {
-                    return (Slot::Right(bn.orig as usize), visited);
-                }
-                cur = bn.right;
-            }
-        }
+    /// A blocked-permutation snapshot of the current (frozen) tree for
+    /// cache-conscious batch locates: keys move into vEB-blocked order, and
+    /// [`Bst::locate_in`] descends the snapshot instead of the arena.
+    /// Purely derived, uncharged physical-layout maintenance — the snapshot
+    /// is read-only and the arena stays the source of truth.
+    pub fn blocked_snapshot(&self) -> BlockedTree<K> {
+        self.flat().blocked(self.nodes.len())
     }
 
     /// Attach a new node carrying `key` at `slot` (which must be empty),

@@ -141,7 +141,7 @@ fn incremental_sort_impl<K: Ord + Copy + Send + Sync>(
         // layout is identical at every thread count.
         // Once the frozen prefix is large enough, descend a vEB-blocked
         // snapshot of it instead of the insertion-ordered arena: identical
-        // slots, visit counts and ARAM charges (`Bst::locate_blocked`), but
+        // slots, visit counts and ARAM charges (`Bst::locate_in`), but
         // the top of the tree packs into a handful of cache lines shared by
         // every locate in the batch.  The snapshot is rebuilt per round
         // because Step 4 splices fresh subtrees into the arena.
@@ -154,7 +154,7 @@ fn incremental_sort_impl<K: Ord + Copy + Send + Sync>(
                 let mut scratch = TaskScratch::new(&ledger);
                 scratch.alloc(2);
                 let (slot, visited) = match &snapshot {
-                    Some(b) => tree.locate_blocked(b, k),
+                    Some(b) => Bst::locate_in(b, k),
                     None => tree.locate(k),
                 };
                 locate_depth.record(visited);
