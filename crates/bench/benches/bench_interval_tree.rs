@@ -3,13 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pwe_augtree::interval::IntervalTree;
-use pwe_geom::generators::{random_intervals, stabbing_queries};
+use pwe_bench::inputs;
+use pwe_geom::generators::stabbing_queries;
 
 fn bench_interval(c: &mut Criterion) {
     let mut group = c.benchmark_group("interval_tree");
     group.sample_size(10);
     let n = 30_000;
-    let intervals = random_intervals(n, 1e6, 200.0, 17);
+    let intervals = inputs::intervals(n);
     group.bench_function(BenchmarkId::new("build_classic", n), |b| {
         b.iter(|| IntervalTree::build_classic(&intervals, 2))
     });

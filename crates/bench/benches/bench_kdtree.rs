@@ -2,14 +2,14 @@
 //! k-d tree construction, including the p ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pwe_geom::generators::uniform_points_2d;
+use pwe_bench::inputs;
 use pwe_kdtree::build::{build_classic, build_p_batched, recommended_p};
 
 fn bench_kdtree(c: &mut Criterion) {
     let mut group = c.benchmark_group("kdtree_build");
     group.sample_size(10);
     for &n in &[20_000usize, 60_000] {
-        let points = uniform_points_2d(n, 11);
+        let points = inputs::kd_points(n);
         group.bench_with_input(BenchmarkId::new("classic", n), &points, |b, pts| {
             b.iter(|| build_classic(pts, 16))
         });

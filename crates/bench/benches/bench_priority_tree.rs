@@ -2,21 +2,15 @@
 //! priority search tree construction, and 3-sided query throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pwe_augtree::priority::{PrioritySearchTree, PsPoint};
-use pwe_geom::generators::{random_three_sided_queries, uniform_points_2d};
+use pwe_augtree::priority::PrioritySearchTree;
+use pwe_bench::inputs;
+use pwe_geom::generators::random_three_sided_queries;
 
 fn bench_priority(c: &mut Criterion) {
     let mut group = c.benchmark_group("priority_tree");
     group.sample_size(10);
     let n = 30_000;
-    let points: Vec<PsPoint> = uniform_points_2d(n, 23)
-        .into_iter()
-        .enumerate()
-        .map(|(i, point)| PsPoint {
-            point,
-            id: i as u64,
-        })
-        .collect();
+    let points = inputs::ps_points(n);
     group.bench_function(BenchmarkId::new("build_classic", n), |b| {
         b.iter(|| PrioritySearchTree::build_classic(&points))
     });

@@ -6,18 +6,17 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pwe_augtree::interval::IntervalTree;
-use pwe_augtree::range_tree::{RangeTree2D, RtPoint};
-use pwe_geom::bbox::Rect;
-use pwe_geom::generators::{random_intervals, stabbing_queries, uniform_points_2d};
-use pwe_geom::{in_circle, in_circle_batch, in_circle_batch_scalar, GridPoint};
+use pwe_augtree::range_tree::RangeTree2D;
+use pwe_bench::inputs;
+use pwe_geom::generators::stabbing_queries;
+use pwe_geom::{in_circle, in_circle_batch, in_circle_batch_scalar};
 
 fn bench_queries(c: &mut Criterion) {
     let mut group = c.benchmark_group("queries");
     group.sample_size(10);
 
     let n = 50_000;
-    let intervals = random_intervals(n, 1_000_000.0, 200.0, 17);
-    let itree = IntervalTree::build_parallel(&intervals, 8);
+    let itree = IntervalTree::build_parallel(&inputs::intervals(n), 8);
     let stabs = stabbing_queries(2_000, 1_000_000.0, 71);
     group.bench_function("interval_stab_flat", |b| {
         b.iter(|| {
@@ -31,40 +30,10 @@ fn bench_queries(c: &mut Criterion) {
         b.iter(|| stabs.iter().map(|&x| itree.stab(x).len()).sum::<usize>())
     });
 
-    let points: Vec<RtPoint> = uniform_points_2d(n, 31)
-        .into_iter()
-        .enumerate()
-        .map(|(i, point)| RtPoint {
-            point,
-            id: i as u64,
-        })
-        .collect();
-    let rtree = RangeTree2D::build(&points, 8);
+    let rtree = RangeTree2D::build(&inputs::rt_points(n), 8);
     // The wide-x / thin-y rows of the speedup query_compare workload: the
     // report walk is dominated by inner-run searches at critical nodes.
-    let rects: Vec<Rect> = {
-        let mut state = 77u64 | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        (0..500)
-            .map(|_| {
-                let w = 0.05 + 0.20 * next();
-                let h = 0.0001 + 0.0009 * next();
-                let x = next() * (1.0 - w);
-                let y = next() * (1.0 - h);
-                Rect {
-                    x_min: x,
-                    x_max: x + w,
-                    y_min: y,
-                    y_max: y + h,
-                }
-            })
-            .collect()
-    };
+    let rects = inputs::thin_rects(500);
     // Layout A/B with cascading held off on both sides (the PR 7 rows) …
     group.bench_function("range2d_flat", |b| {
         b.iter(|| {
@@ -89,27 +58,10 @@ fn bench_queries(c: &mut Criterion) {
         b.iter(|| rects.iter().map(|r| rtree.query(r).len()).sum::<usize>())
     });
 
-    // Scalar vs. batched in-circle over one fixed triangle and a SoA query
-    // storm (the delaunay_locate A/B, shorn of mesh plumbing).
-    let (a, bb, cc) = (
-        GridPoint::new(0, 0),
-        GridPoint::new(1 << 20, 0),
-        GridPoint::new(0, 1 << 20),
-    );
-    let qs: Vec<GridPoint> = {
-        let mut state = 73u64 | 1;
-        (0..4_096)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                GridPoint::new(
-                    (state % (1 << 20)) as i64,
-                    ((state >> 21) % (1 << 20)) as i64,
-                )
-            })
-            .collect()
-    };
+    // Scalar vs. batched in-circle over one triangle and a SoA query storm
+    // of the delaunay_locate A/B.
+    let [a, bb, cc] = inputs::ccw_triangles()[0];
+    let qs = inputs::grid_queries(4_096);
     let (qx, qy): (Vec<i64>, Vec<i64>) = qs.iter().map(|p| (p.x, p.y)).unzip();
     group.bench_function("in_circle_scalar", |b| {
         b.iter(|| qs.iter().filter(|q| in_circle(a, bb, cc, **q)).count())

@@ -2,21 +2,15 @@
 //! query throughput across the α sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pwe_augtree::range_tree::{RangeTree2D, RtPoint};
-use pwe_geom::generators::{random_query_rects, uniform_points_2d};
+use pwe_augtree::range_tree::RangeTree2D;
+use pwe_bench::inputs;
+use pwe_geom::generators::random_query_rects;
 
 fn bench_range_tree(c: &mut Criterion) {
     let mut group = c.benchmark_group("range_tree");
     group.sample_size(10);
     let n = 20_000;
-    let points: Vec<RtPoint> = uniform_points_2d(n, 31)
-        .into_iter()
-        .enumerate()
-        .map(|(i, point)| RtPoint {
-            point,
-            id: i as u64,
-        })
-        .collect();
+    let points = inputs::rt_points(n);
     let rects = random_query_rects(200, 0.1, 32);
     for alpha in [2usize, 8, 16] {
         group.bench_function(BenchmarkId::new("build_classic", alpha), |b| {

@@ -2,15 +2,14 @@
 //! the write-efficient incremental sort vs the merge-sort baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pwe_bench::inputs;
 use pwe_sort::{incremental_sort, merge_sort_baseline};
-use rand::{Rng, SeedableRng};
 
 fn bench_sort(c: &mut Criterion) {
     let mut group = c.benchmark_group("sort");
     group.sample_size(10);
     for &n in &[10_000usize, 50_000] {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let keys: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+        let keys = inputs::keys(n, 1);
         group.bench_with_input(BenchmarkId::new("merge_baseline", n), &keys, |b, keys| {
             b.iter(|| merge_sort_baseline(keys))
         });

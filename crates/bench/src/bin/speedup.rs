@@ -1,78 +1,53 @@
-//! Self-relative speedup report and baseline-vs-write-efficient sweeps, as
-//! machine-readable JSON (one line per configuration on stdout).
+//! Machine-readable JSON reports, one line per configuration on stdout:
+//! self-relative speedup, baseline-vs-write-efficient sweeps, query A/Bs
+//! and the service load driver.  MODEL.md §3 specifies every mode's rows.
 //!
-//! The pool reads `RAYON_NUM_THREADS` exactly once, when it starts, so one
-//! process cannot measure two thread counts.  The parent therefore
-//! re-executes itself (`--child <workload>` / `--child-sweep <workload>`)
-//! once per `(workload, n, threads)` tuple with the environment variable
-//! set, collects each child's JSON lines, and re-emits them.  A
-//! human-readable summary goes to stderr.
+//! Every mode runs on the shared driver of [`pwe_bench::harness`]:
+//!
+//! * **One parser.**  A malformed number, an unknown flag, or a
+//!   `--workload` outside the mode's set exits with status 2 and a message
+//!   before anything runs.
+//! * **One child fan-out.**  The pool reads `RAYON_NUM_THREADS` once, when
+//!   it starts, so one process cannot measure two thread counts.  The
+//!   parent re-executes itself as `--child <cell>` once per
+//!   `(cell, threads)` job with the variable set, re-emits each child's
+//!   lines, and writes a human-readable summary to stderr.
+//! * **One row emitter.**  `threads_available` (detected parallelism) and
+//!   `rayon_threads` (actual pool width) follow every row's identifying
+//!   keys, so rows from a 1-CPU container are distinguishable from
+//!   multicore CI rows.
+//! * **One A/B stream timer** behind every `--queries` row.
 //!
 //! Modes:
 //!
 //! * **speedup** (default) — one line per `(workload, n, threads)` with a
-//!   `"speedup_vs_1t"` field computed against the child's own 1-thread run.
+//!   `"speedup_vs_1t"` field against the 1-thread run.  Workloads: the
+//!   theorem experiments (`sort`, `mergesort`, `delaunay`, `kdtree`), the
+//!   parallel primitives behind them (`semisort`, `scan`) and the Table-1
+//!   tree constructions (`interval`, `priority`, `range`).
 //! * **`--sweep`** — the write-vs-read crossover: one line per
-//!   `(workload, n, omega, threads)` comparing the write-inefficient
-//!   baseline against the write-efficient variant.  The counters do not
-//!   depend on ω (only the `work = reads + ω·writes` weighting does), so
-//!   each child measures once and derives every ω row.  Sweep workloads:
-//!   `delaunay` (ParIncrementalDT vs prefix-doubling+tracing), `sort`
-//!   (merge sort vs incremental) and the augmented-tree builds `interval`,
-//!   `priority`, `range` (classic per-level-copy constructions vs the
-//!   parallel allocation-lean engine; `BENCH_augtree.json` holds committed
-//!   trajectory points of this schema).
-//! * **`--queries`** — the flat-vs-blocked query A/B: one `query_compare`
-//!   line per query workload (`interval_stab`, `range2d`,
-//!   `range2d_cascade`, `delaunay_locate`, `incircle_simd`), timing the same
-//!   query stream against the flat arena descent and the vEB-blocked
-//!   descent of the same structure (for `delaunay_locate`, the one-at-a-time
-//!   exact predicates against the width-filtered batch kernels).  The stream is processed in batches of
-//!   `--qbatch` queries (default 256).  Both sides must report identical
-//!   answers and identical read/write/depth counters — the blocked layout
-//!   is a machine-level rearrangement, invisible to the cost model — and
-//!   the line records both, so a committed `BENCH_queries.json` row is
-//!   self-validating.
-//! * **`--serve`** — the geometry-as-a-service load driver: one line per
-//!   `(loop, threads)` driving a preloaded, sharded
-//!   [`pwe_service::GeometryService`] with a writer arm publishing churn
-//!   generations concurrently with a reader arm serving query batches.
-//!   `loop` is `closed` (next batch issues on completion) or `open`
-//!   (batches arrive on a fixed schedule calibrated to ~80% utilisation,
-//!   so latency includes queueing delay).  Rows carry throughput,
-//!   p50/p99/max batch latency and the swap-overlap evidence
-//!   (`generations_swapped`, `overlap_batches`, `distinct_gens_observed`
-//!   — batches answered from a pre-final generation were served while
-//!   publishes were still outstanding).  `BENCH_service.json` holds
-//!   committed rows of this schema.
-//! * **`--serve --faults`** — the fault-mode arm of the load driver
-//!   (requires building with `--features faultinject`): after the preload
-//!   and open-loop calibration, a deterministic fault plan
-//!   ([`pwe_primitives::faultpoint`], seed `--fault-seed`) arms panics,
-//!   injected errors and delays against the shard rebuilds, the publish
-//!   commit step and the read path.  The reader gains admission control
-//!   (an open-loop batch arriving to a backlog deeper than
-//!   `SERVE_MAX_INFLIGHT` is rejected, not queued) and bounded per-batch
-//!   retry (a degraded batch is retried up to `SERVE_MAX_RETRIES` times
-//!   within a deadline of two arrival intervals).  Fault rows carry the
-//!   extra fields `faults_injected`, `batches_degraded`, `retries`,
-//!   `batches_rejected`, `quarantine_generations`, `rebuild_failures` and
-//!   `publish_aborts`; rows without `--faults` are byte-identical to the
-//!   plain serve schema, so committed `BENCH_service.json` baselines are
-//!   unperturbed.
-//! * **`--smoke`** — a tiny in-process sweep that validates the JSON
-//!   emitter and asserts the ω-crossover claim (at the largest swept ω the
-//!   write-efficient variant must cost less work), then runs every query
-//!   workload at a small n and asserts answer and counter equality of the
-//!   flat and blocked paths; exits non-zero on violation.  CI runs this so
-//!   the emitter cannot silently rot.
-//! * **`--serve-smoke`** — the same guard for the serve rows: runs both
-//!   loop modes small and in-process, checks every schema key and the
-//!   percentile ordering; exits non-zero on violation.
-//!
-//! Every JSON row carries `threads_available` (detected parallelism) and
-//! `rayon_threads` (actual pool width), so committed trajectories from a
-//! 1-CPU build container are distinguishable from real multicore CI rows.
+//!   `(workload, n, omega, threads)` for each of [`pwe_bench::PAIRS`].  The
+//!   counters do not depend on ω, so each child measures once and derives
+//!   every ω row (`BENCH_delaunay.json`, `BENCH_augtree.json`).
+//! * **`--queries`** — one `query_compare` line per query workload, timing
+//!   the same stream through two implementations of one structure or
+//!   predicate; answers and (but for `range2d_cascade`) counters must
+//!   match, so a committed `BENCH_queries.json` row is self-validating.
+//!   `--qbatch` (default 256) is the SoA batch width of the predicate
+//!   workloads.
+//! * **`--serve`** — one line per `(loop, threads)`: a writer arm publishes
+//!   churn generations of a preloaded, sharded
+//!   [`pwe_service::GeometryService`] while a reader arm serves query
+//!   batches, `closed`-loop or `open`-loop at ~80% utilisation
+//!   (`BENCH_service.json`).  With `--faults` (build with
+//!   `--features faultinject`) a deterministic fault plan
+//!   ([`pwe_primitives::faultpoint`], seed `--fault-seed`) arms after the
+//!   preload, the reader adds admission control and bounded retries, and
+//!   rows gain the fault fields; rows without it keep the plain schema.
+//! * **`--smoke`** / **`--serve-smoke`** — small in-process runs that
+//!   validate the emitters and assert the ω-crossover claim, the query A/B
+//!   equalities and the serve schema; they exit non-zero on a violation.
+//!   CI runs both so the emitters cannot silently rot.
 //!
 //! Usage:
 //!   cargo run --release -p pwe-bench --bin speedup                 # all workloads
@@ -85,23 +60,18 @@
 //!   cargo run --release -p pwe-bench --features faultinject --bin speedup -- --serve --faults
 //!   cargo run --release -p pwe-bench --bin speedup -- --smoke
 //!   cargo run --release -p pwe-bench --bin speedup -- --serve-smoke
-//!
-//! Speedup workloads: the theorem experiments (`sort`, `mergesort`,
-//! `delaunay`, `kdtree`), the parallel primitives behind them (`semisort`,
-//! `scan`), and the Table-1 tree constructions (`interval`, `priority`,
-//! `range`).
 
-use std::process::Command;
-
-use pwe_asym::cost::{measure, CostReport, Omega};
+use pwe_asym::cost::{measure, Omega};
 use pwe_augtree::interval::IntervalTree;
-use pwe_augtree::priority::{PrioritySearchTree, PsPoint};
-use pwe_augtree::range_tree::{RangeTree2D, RtPoint};
-use pwe_delaunay::{triangulate_baseline, triangulate_write_efficient};
-use pwe_geom::generators::{
-    random_intervals, stabbing_queries, uniform_grid_points, uniform_points_2d,
+use pwe_augtree::priority::PrioritySearchTree;
+use pwe_augtree::range_tree::RangeTree2D;
+use pwe_bench::harness::{
+    ab_stream, available_threads, fan_out, fold_ids, json_f64, json_row, usage_error, AbTiming,
+    Args, Kind,
 };
-use pwe_geom::predicates::is_ccw;
+use pwe_bench::{inputs, measure_pair, PAIRS};
+use pwe_delaunay::triangulate_write_efficient;
+use pwe_geom::generators::{random_intervals, stabbing_queries, uniform_grid_points};
 use pwe_geom::{in_circle, in_circle_batch, in_circle_batch_scalar, GridPoint, Rect};
 use pwe_kdtree::build::{build_p_batched, recommended_p};
 use pwe_primitives::scan::par_exclusive_scan;
@@ -122,25 +92,7 @@ const WORKLOADS: &[&str] = &[
     "range",
 ];
 
-/// Sweep workloads: each pairs a write-inefficient baseline with its
-/// write-efficient counterpart.  The three augmented-tree workloads compare
-/// the classic per-level-copy constructions against the parallel
-/// allocation-lean engine of `pwe_augtree::engine` (the range tree's
-/// baseline is the textbook α = 2 build, where every node carries an inner
-/// structure; the engine builds at α = 8).
-const SWEEP_WORKLOADS: &[&str] = &["delaunay", "sort", "interval", "priority", "range"];
-
-/// Query workloads: each times one query stream twice over the same built
-/// structure — once through the flat arena descent, once through the
-/// vEB-blocked descent (`delaunay_locate` compares one-at-a-time exact
-/// predicates against the width-filtered batch kernels; `incircle_simd`
-/// compares the scalar batch loop against the dispatched AVX2 kernel).
-/// Answers must match exactly on every row.  Counters match exactly on
-/// every row except `range2d_cascade`, which compares the uncascaded
-/// blocked descent against the fractionally cascaded one: cascading is a
-/// *model-level* read optimisation, so its row must show equal writes and
-/// depth but strictly fewer reads (`writes_equal` / `depth_equal` /
-/// `reads_reduced` fields — MODEL.md §3.3).
+/// Query workloads (see [`query_compare`] for each one's two sides).
 const QUERY_WORKLOADS: &[&str] = &[
     "interval_stab",
     "range2d",
@@ -149,809 +101,436 @@ const QUERY_WORKLOADS: &[&str] = &[
     "incircle_simd",
 ];
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(workload) = arg_str(&args, "--child") {
-        let n = arg_usize(&args, "--n");
-        println!("{}", run_child(&workload, n));
-        return;
-    }
-    if let Some(workload) = arg_str(&args, "--child-sweep") {
-        let n = arg_usize(&args, "--n").expect("--child-sweep requires --n");
-        let omegas = parse_list(&arg_str(&args, "--omegas").expect("--child-sweep needs --omegas"));
-        for line in run_sweep_child(&workload, n, &omegas) {
-            println!("{line}");
-        }
-        return;
-    }
-    if let Some(workload) = arg_str(&args, "--child-queries") {
-        let n = arg_usize(&args, "--n");
-        let qbatch = arg_usize(&args, "--qbatch").unwrap_or(DEFAULT_QBATCH);
-        println!("{}", run_query_child(&workload, n, qbatch));
-        return;
-    }
-    if let Some(loop_mode) = arg_str(&args, "--child-serve") {
-        let n = arg_usize(&args, "--n").unwrap_or(DEFAULT_SERVE_N);
-        let shards = arg_usize(&args, "--shards").unwrap_or(DEFAULT_SERVE_SHARDS);
-        let qbatch = arg_usize(&args, "--qbatch").unwrap_or(DEFAULT_QBATCH);
-        let batches = arg_usize(&args, "--batches").unwrap_or(DEFAULT_SERVE_BATCHES);
-        let fault_seed = arg_usize(&args, "--fault-seed").map(|s| s as u64);
-        println!(
-            "{}",
-            run_serve_child(&loop_mode, n, shards, qbatch, batches, fault_seed)
-        );
-        return;
-    }
-    if args.iter().any(|a| a == "--serve-smoke") {
-        run_serve_smoke();
-        return;
-    }
-    if args.iter().any(|a| a == "--serve") {
-        run_serve_parent(&args);
-        return;
-    }
-    if args.iter().any(|a| a == "--smoke") {
-        run_smoke();
-        return;
-    }
-    if args.iter().any(|a| a == "--sweep") {
-        run_sweep_parent(&args);
-        return;
-    }
-    if args.iter().any(|a| a == "--queries") {
-        run_queries_parent(&args);
-        return;
-    }
-    run_parent(&args);
-}
+/// The serve driver's loop modes, one child each.
+const LOOPS: &[&str] = &["closed", "open"];
+
+/// Mode switches in precedence order; none selects the speedup mode.
+const MODES: [&str; 5] = [
+    "--serve-smoke",
+    "--serve",
+    "--smoke",
+    "--sweep",
+    "--queries",
+];
 
 /// Default query-stream batch size for `--queries`.
 const DEFAULT_QBATCH: usize = 256;
 
-/// Signature shared by the two `incircle_simd` A/B sides (the scalar batch
-/// loop and the dispatched kernel).
-type InCircleBatchFn = dyn Fn(GridPoint, GridPoint, GridPoint, &[i64], &[i64], &mut [bool]);
-
-/// The `"threads_available":…,"rayon_threads":…` fragment every JSON row
-/// carries (container-vs-CI provenance of committed trajectories).
-fn thread_fields() -> String {
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    format!(
-        "\"threads_available\":{available},\"rayon_threads\":{}",
-        rayon::current_num_threads()
-    )
+fn main() {
+    let mode = MODES
+        .into_iter()
+        .find(|m| std::env::args().any(|a| a == *m))
+        .unwrap_or("");
+    // The mode fixes the names `--workload` takes and the cells a child
+    // (`--child <cell>`, one per fan-out job) runs.
+    let (workloads, cells): (&[&str], &[&str]) = match mode {
+        "" => (WORKLOADS, WORKLOADS),
+        "--sweep" => (PAIRS, PAIRS),
+        "--queries" => (QUERY_WORKLOADS, QUERY_WORKLOADS),
+        "--serve" => (&[], LOOPS),
+        _ => (&[], &[]),
+    };
+    let args = Args::from_env(&[
+        ("--workload", Kind::Choice(workloads)),
+        ("--child", Kind::Choice(cells)),
+        ("--n", Kind::Num),
+        ("--ns", Kind::List),
+        ("--omegas", Kind::List),
+        ("--threads", Kind::List),
+        ("--qbatch", Kind::Pos),
+        ("--shards", Kind::Pos),
+        ("--batches", Kind::Pos),
+        ("--faults", Kind::Switch),
+        ("--fault-seed", Kind::Num),
+        ("--sweep", Kind::Switch),
+        ("--queries", Kind::Switch),
+        ("--serve", Kind::Switch),
+        ("--smoke", Kind::Switch),
+        ("--serve-smoke", Kind::Switch),
+    ]);
+    if args.has("--faults") && !cfg!(feature = "faultinject") {
+        usage_error(
+            "--faults requires the faultinject feature: \
+             cargo run --release -p pwe-bench --features faultinject --bin speedup -- --serve --faults",
+        );
+    }
+    let Some(cell) = args.name("--child") else {
+        return match mode {
+            "--serve-smoke" => serve_smoke(),
+            "--smoke" => smoke(),
+            _ => parent(mode, &args),
+        };
+    };
+    let n = args.num("--n");
+    let qbatch = args.num("--qbatch").unwrap_or(DEFAULT_QBATCH);
+    let rows = match mode {
+        "" => vec![speedup_row(cell, n)],
+        "--sweep" => {
+            let omegas = args.list("--omegas").unwrap_or(&[1, 5, 10, 20, 40]);
+            sweep_rows(cell, n.expect("a sweep child runs one n"), omegas)
+        }
+        "--queries" => vec![query_row(cell, n, qbatch)],
+        _ => vec![serve_row(
+            cell,
+            n.unwrap_or(DEFAULT_SERVE_N),
+            args.num("--shards").unwrap_or(DEFAULT_SERVE_SHARDS),
+            qbatch,
+            args.num("--batches").unwrap_or(DEFAULT_SERVE_BATCHES),
+            args.has("--faults").then(|| {
+                args.num("--fault-seed")
+                    .map_or(SERVE_FAULT_SEED, |s| s as u64)
+            }),
+        )],
+    };
+    for row in rows {
+        println!("{row}");
+    }
 }
 
-/// One measured run inside a child process whose pool size is already fixed
-/// by `RAYON_NUM_THREADS`.
-fn run_child(workload: &str, n_override: Option<usize>) -> String {
-    let threads = rayon::current_num_threads();
-    let (n, report) = run_workload(workload, n_override);
-    format!(
-        "{{\"workload\":\"{workload}\",\"n\":{n},\"threads\":{threads},{},\
-         \"millis\":{:.3},\"reads\":{},\"writes\":{},\"depth\":{}}}",
-        thread_fields(),
-        report.elapsed.as_secs_f64() * 1e3,
-        report.reads,
-        report.writes,
-        report.depth
-    )
+/// Every fanned-out mode: one child per `(cell, threads)` job, its rows
+/// re-emitted on stdout and summarised on stderr.
+fn parent(mode: &str, args: &Args) {
+    let max = available_threads();
+    let workloads =
+        |all: &[&'static str]| args.name("--workload").map_or(all.to_vec(), |w| vec![w]);
+    let (cells, default_threads) = match mode {
+        "--serve" => (LOOPS.to_vec(), vec![max, 4]),
+        "--sweep" => (workloads(PAIRS), vec![1, max]),
+        "--queries" => (workloads(QUERY_WORKLOADS), vec![max]),
+        _ => (workloads(WORKLOADS), vec![1, 2, max]),
+    };
+    // A sweep job runs one of the swept sizes; every other child re-parses
+    // `--n` (or its default) like the rest of its flags.
+    let ns: Vec<Option<usize>> = match (mode, args.list("--ns"), args.num("--n")) {
+        ("--sweep", Some(ns), _) => ns.iter().copied().map(Some).collect(),
+        ("--sweep", None, None) => vec![Some(5_000), Some(10_000), Some(20_000), Some(50_000)],
+        (_, _, n) => vec![n],
+    };
+    let mut threads = args.list("--threads").unwrap_or(&default_threads).to_vec();
+    threads.sort_unstable();
+    threads.dedup();
+    let mut jobs = Vec::new();
+    for cell in cells {
+        for &n in &ns {
+            for &t in &threads {
+                // The child sees the parent's flags (its mode switch
+                // included) but runs one cell, at one n if the job fixes it.
+                let mut argv = args.without(&["--workload", "--threads", "--ns", "--n"]);
+                argv.extend(["--child".to_string(), cell.to_string()]);
+                if let Some(n) = n {
+                    argv.extend(["--n".to_string(), n.to_string()]);
+                }
+                jobs.push((argv, t));
+            }
+        }
+    }
+    if mode == "--serve" {
+        // Serve rows group by pool width: both loops at one width, then the next.
+        jobs.sort_by_key(|&(_, t)| t);
+    }
+
+    // Threads are sorted, so a requested 1-thread run comes first in every
+    // cell and every later line of the cell carries `speedup_vs_1t`.
+    let mut base_millis = None;
+    fan_out(jobs, |child, t, mut lines| {
+        let cell = &child[child.iter().position(|a| a == "--child").expect("cell") + 1];
+        let first = lines
+            .first()
+            .expect("a child prints at least one row")
+            .clone();
+        let f = |key| json_f64(&first, key).unwrap_or(0.0);
+        let summary = match mode {
+            "--sweep" => format!(
+                "{cell:<10} n={:<8} threads={t:<3} we {:>10.2} ms   write gap {:>6.2}x",
+                f("n"),
+                f("we_millis"),
+                f("write_gap")
+            ),
+            "--queries" => format!(
+                "{cell:<15} threads={t:<3} flat {:>9.2} ms   blocked {:>9.2} ms   gain {:>5.2}x",
+                f("flat_millis"),
+                f("blocked_millis"),
+                f("gain")
+            ),
+            "--serve" => format!(
+                "serve {cell:<6} threads={t:<3} {:>10.0} q/s   \
+                 p50 {:>8.1} µs   p99 {:>8.1} µs   overlap {}",
+                f("throughput_qps"),
+                f("p50_us"),
+                f("p99_us"),
+                f("overlap_batches")
+            ),
+            _ => {
+                let millis = f("millis");
+                if t == 1 {
+                    base_millis = Some(millis);
+                }
+                match base_millis.map(|base| base / millis.max(1e-9)) {
+                    Some(s) => {
+                        lines[0] =
+                            format!("{},\"speedup_vs_1t\":{s:.3}}}", first.trim_end_matches('}'));
+                        format!("{cell:<10} threads={t:<3} {millis:>10.2} ms   speedup {s:>5.2}x")
+                    }
+                    None => format!("{cell:<10} threads={t:<3} {millis:>10.2} ms"),
+                }
+            }
+        };
+        for line in &lines {
+            println!("{line}");
+        }
+        eprintln!("{summary}");
+        if mode == "--serve" && args.has("--faults") {
+            eprintln!(
+                "      faults: injected {}   degraded {}   retries {}   rejected {}",
+                f("faults_injected"),
+                f("batches_degraded"),
+                f("retries"),
+                f("batches_rejected")
+            );
+        }
+    });
 }
 
-fn run_workload(workload: &str, n_override: Option<usize>) -> (usize, CostReport) {
+/// One measured speedup-mode run in a child whose pool size is fixed.
+fn speedup_row(workload: &str, n: Option<usize>) -> String {
     let omega = Omega::new(1);
-    match workload {
+    let n = n.unwrap_or(match workload {
+        "sort" | "kdtree" => 200_000,
+        "mergesort" => 400_000,
+        "semisort" => 1_000_000,
+        "scan" => 4_000_000,
+        "delaunay" => 20_000,
+        "range" => 50_000,
+        _ => 100_000,
+    });
+    let report = match workload {
         "sort" => {
-            let n = n_override.unwrap_or(200_000);
-            let keys = random_keys(n, 42);
-            let (_, r) = measure(omega, || incremental_sort(&keys, 7));
-            (n, r)
+            let keys = inputs::keys(n, 42);
+            measure(omega, || incremental_sort(&keys, 7)).1
         }
         "mergesort" => {
-            let n = n_override.unwrap_or(400_000);
-            let keys = random_keys(n, 43);
-            let (_, r) = measure(omega, || merge_sort_baseline(&keys));
-            (n, r)
+            let keys = inputs::keys(n, 43);
+            measure(omega, || merge_sort_baseline(&keys)).1
         }
         "semisort" => {
-            let n = n_override.unwrap_or(1_000_000);
-            let keys = random_keys(n, 44);
-            let (_, r) = measure(omega, || semisort_by_key(&keys, |k| k % 1009));
-            (n, r)
+            let keys = inputs::keys(n, 44);
+            measure(omega, || semisort_by_key(&keys, |k| k % 1009)).1
         }
         "scan" => {
-            let n = n_override.unwrap_or(4_000_000);
             let input: Vec<u64> = (0..n as u64).map(|i| (i * 7919) % 101).collect();
-            let (_, r) = measure(omega, || par_exclusive_scan(&input));
-            (n, r)
+            measure(omega, || par_exclusive_scan(&input)).1
         }
         "delaunay" => {
-            let n = n_override.unwrap_or(20_000);
-            let points = uniform_grid_points(n, 1 << 20, 3);
-            let (_, r) = measure(omega, || triangulate_write_efficient(&points, 5));
-            (n, r)
+            let points = inputs::sites(n);
+            measure(omega, || triangulate_write_efficient(&points, 5)).1
         }
         "kdtree" => {
-            let n = n_override.unwrap_or(200_000);
-            let points = uniform_points_2d(n, 11);
-            let (_, r) = measure(omega, || build_p_batched(&points, recommended_p(n), 16, 13));
-            (n, r)
+            let points = inputs::kd_points(n);
+            measure(omega, || build_p_batched(&points, recommended_p(n), 16, 13)).1
         }
         "interval" => {
-            let n = n_override.unwrap_or(100_000);
-            let intervals = random_intervals(n, 1e6, 200.0, 17);
-            let (_, r) = measure(omega, || IntervalTree::build_parallel(&intervals, 2));
-            (n, r)
+            let intervals = inputs::intervals(n);
+            measure(omega, || IntervalTree::build_parallel(&intervals, 2)).1
         }
         "priority" => {
-            let n = n_override.unwrap_or(100_000);
-            let points: Vec<PsPoint> = uniform_points_2d(n, 23)
-                .into_iter()
-                .enumerate()
-                .map(|(i, point)| PsPoint {
-                    point,
-                    id: i as u64,
-                })
-                .collect();
-            let (_, r) = measure(omega, || PrioritySearchTree::build_parallel(&points));
-            (n, r)
+            let points = inputs::ps_points(n);
+            measure(omega, || PrioritySearchTree::build_parallel(&points)).1
         }
-        "range" => {
-            let n = n_override.unwrap_or(50_000);
-            let points: Vec<RtPoint> = uniform_points_2d(n, 31)
-                .into_iter()
-                .enumerate()
-                .map(|(i, point)| RtPoint {
-                    point,
-                    id: i as u64,
-                })
-                .collect();
-            let (_, r) = measure(omega, || RangeTree2D::build(&points, 8));
-            (n, r)
-        }
-        other => {
-            eprintln!("unknown workload {other:?}; expected one of {WORKLOADS:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn run_parent(args: &[String]) {
-    let exe = std::env::current_exe().expect("current_exe");
-    let n_override = arg_usize(args, "--n");
-    let workloads: Vec<String> = match arg_str(args, "--workload") {
-        Some(w) => vec![w],
-        None => WORKLOADS.iter().map(|w| w.to_string()).collect(),
-    };
-    let threads: Vec<usize> = match arg_str(args, "--threads") {
-        Some(list) => {
-            // Sort and dedup so a 1-thread run (if requested) always comes
-            // first and every later line carries a speedup_vs_1t field,
-            // regardless of the order the flags were typed in.
-            let mut ts: Vec<usize> = list
-                .split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&t| t > 0)
-                .collect();
-            ts.sort_unstable();
-            ts.dedup();
-            ts
-        }
-        None => {
-            let max = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            let mut ts = vec![1, 2, max];
-            ts.sort_unstable();
-            ts.dedup();
-            ts
+        _ => {
+            let points = inputs::rt_points(n);
+            measure(omega, || RangeTree2D::build(&points, 8)).1
         }
     };
-
-    for workload in &workloads {
-        let mut baseline_millis: Option<f64> = None;
-        for &t in &threads {
-            let mut cmd = Command::new(&exe);
-            cmd.arg("--child").arg(workload);
-            if let Some(n) = n_override {
-                cmd.arg("--n").arg(n.to_string());
-            }
-            cmd.env("RAYON_NUM_THREADS", t.to_string());
-            let out = cmd.output().expect("failed to spawn child");
-            if !out.status.success() {
-                eprintln!(
-                    "child ({workload}, {t} threads) failed: {}",
-                    String::from_utf8_lossy(&out.stderr)
-                );
-                std::process::exit(1);
-            }
-            let line = String::from_utf8_lossy(&out.stdout).trim().to_string();
-            let millis = json_f64(&line, "millis").expect("child line missing millis");
-            if t == 1 {
-                baseline_millis = Some(millis);
-            }
-            let speedup = baseline_millis.map(|base| base / millis.max(1e-9));
-            match speedup {
-                Some(s) => {
-                    println!("{},\"speedup_vs_1t\":{s:.3}}}", line.trim_end_matches('}'));
-                    eprintln!(
-                        "{workload:<10} threads={t:<3} {millis:>10.2} ms   speedup {s:>5.2}x"
-                    );
-                }
-                None => {
-                    println!("{line}");
-                    eprintln!("{workload:<10} threads={t:<3} {millis:>10.2} ms");
-                }
-            }
-        }
-    }
+    json_row(
+        &format!(
+            "\"workload\":\"{workload}\",\"n\":{n},\"threads\":{}",
+            rayon::current_num_threads()
+        ),
+        &format!(
+            "\"millis\":{:.3},\"reads\":{},\"writes\":{},\"depth\":{}",
+            report.elapsed.as_secs_f64() * 1e3,
+            report.reads,
+            report.writes,
+            report.depth
+        ),
+    )
 }
 
-/// Measure the (baseline, write-efficient) pair of a sweep workload once;
-/// the counters are ω-independent, so the caller derives every ω row.
-fn run_sweep_pair(workload: &str, n: usize) -> (CostReport, CostReport) {
-    let omega = Omega::symmetric();
-    match workload {
-        "delaunay" => {
-            let points = uniform_grid_points(n, 1 << 20, 3);
-            let (_, base) = measure(omega, || triangulate_baseline(&points, 5));
-            let (_, we) = measure(omega, || triangulate_write_efficient(&points, 5));
-            (base, we)
-        }
-        "sort" => {
-            let keys = random_keys(n, 42);
-            let (_, base) = measure(omega, || merge_sort_baseline(&keys));
-            let (_, we) = measure(omega, || incremental_sort(&keys, 7));
-            (base, we)
-        }
-        "interval" => {
-            let intervals = random_intervals(n, 1e6, 200.0, 17);
-            let (_, base) = measure(omega, || IntervalTree::build_classic(&intervals, 2));
-            let (_, we) = measure(omega, || IntervalTree::build_parallel(&intervals, 2));
-            (base, we)
-        }
-        "priority" => {
-            let points: Vec<PsPoint> = uniform_points_2d(n, 23)
-                .into_iter()
-                .enumerate()
-                .map(|(i, point)| PsPoint {
-                    point,
-                    id: i as u64,
-                })
-                .collect();
-            let (_, base) = measure(omega, || PrioritySearchTree::build_classic(&points));
-            let (_, we) = measure(omega, || PrioritySearchTree::build_parallel(&points));
-            (base, we)
-        }
-        "range" => {
-            let points: Vec<RtPoint> = uniform_points_2d(n, 31)
-                .into_iter()
-                .enumerate()
-                .map(|(i, point)| RtPoint {
-                    point,
-                    id: i as u64,
-                })
-                .collect();
-            // Textbook range tree (α = 2: every node critical, per-node run
-            // copies) vs the α-labeled flat-arena engine build.
-            let (_, base) = measure(omega, || RangeTree2D::build_classic(&points, 2));
-            let (_, we) = measure(omega, || RangeTree2D::build(&points, 8));
-            (base, we)
-        }
-        other => {
-            eprintln!("unknown sweep workload {other:?}; expected one of {SWEEP_WORKLOADS:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// One JSON line per swept ω for a fixed `(workload, n, threads)`.
-fn run_sweep_child(workload: &str, n: usize, omegas: &[usize]) -> Vec<String> {
+/// One sweep line per ω for a fixed `(workload, n, threads)`.
+fn sweep_rows(workload: &str, n: usize, omegas: &[usize]) -> Vec<String> {
     let threads = rayon::current_num_threads();
-    let (base, we) = run_sweep_pair(workload, n);
+    let (base, we) = measure_pair(workload, n, Omega::symmetric());
     omegas
         .iter()
         .map(|&omega| {
             let w = omega as u64;
             let base_work = base.reads + w * base.writes;
             let we_work = we.reads + w * we.writes;
-            format!(
-                "{{\"mode\":\"sweep\",\"workload\":\"{workload}\",\"n\":{n},\
-                 \"omega\":{omega},\"threads\":{threads},{},\
-                 \"base_reads\":{},\"base_writes\":{},\"base_work\":{base_work},\
-                 \"base_millis\":{:.3},\
-                 \"we_reads\":{},\"we_writes\":{},\"we_work\":{we_work},\
-                 \"we_millis\":{:.3},\
-                 \"write_gap\":{:.4},\"we_wins\":{}}}",
-                thread_fields(),
-                base.reads,
-                base.writes,
-                base.elapsed.as_secs_f64() * 1e3,
-                we.reads,
-                we.writes,
-                we.elapsed.as_secs_f64() * 1e3,
-                base.writes as f64 / we.writes.max(1) as f64,
-                we_work < base_work,
+            json_row(
+                &format!(
+                    "\"mode\":\"sweep\",\"workload\":\"{workload}\",\"n\":{n},\
+                     \"omega\":{omega},\"threads\":{threads}"
+                ),
+                &format!(
+                    "\"base_reads\":{},\"base_writes\":{},\"base_work\":{base_work},\
+                     \"base_millis\":{:.3},\
+                     \"we_reads\":{},\"we_writes\":{},\"we_work\":{we_work},\
+                     \"we_millis\":{:.3},\
+                     \"write_gap\":{:.4},\"we_wins\":{}",
+                    base.reads,
+                    base.writes,
+                    base.elapsed.as_secs_f64() * 1e3,
+                    we.reads,
+                    we.writes,
+                    we.elapsed.as_secs_f64() * 1e3,
+                    base.writes as f64 / we.writes.max(1) as f64,
+                    we_work < base_work,
+                ),
             )
         })
         .collect()
 }
 
-/// The two timed sides of one flat-vs-blocked query comparison, plus the
-/// answer-checksum verdict.  Counters live inside the [`CostReport`]s; the
-/// caller asserts/reports their equality.
-struct QueryCompare {
-    n: usize,
-    queries: usize,
-    flat: CostReport,
-    blocked: CostReport,
-    answers_equal: bool,
-}
+/// An in-circle batch kernel: the scalar loop or the dispatched one.
+type Kernel = fn(GridPoint, GridPoint, GridPoint, &[i64], &[i64], &mut [bool]);
 
-/// Run a measured stream `reps` times, keep the fastest run (the standard
-/// wall-clock-noise filter; the counters and the checksum are deterministic,
-/// so every repetition reports the same ones).
-fn best_of<T>(reps: usize, f: impl Fn() -> (T, CostReport)) -> (T, CostReport) {
-    let mut best = f();
-    for _ in 1..reps {
-        let run = f();
-        if run.1.elapsed < best.1.elapsed {
-            best = run;
-        }
-    }
-    best
-}
+/// A range-tree query walk.
+type Walk = fn(&RangeTree2D, &Rect) -> Vec<u64>;
 
-/// Repetitions per timed side of a `query_compare` row.
-const QUERY_REPS: usize = 5;
-
-/// Order-sensitive fold of one query's answer ids into a running checksum
-/// (both layouts return identically ordered answers, so a mismatch anywhere
-/// in the stream perturbs the final word).
-fn fold_ids(acc: u64, ids: &[u64]) -> u64 {
-    let mut h = acc
-        .wrapping_mul(0x100_0000_01b3)
-        .wrapping_add(ids.len() as u64);
-    for &id in ids {
-        h = h.wrapping_mul(31).wrapping_add(id);
-    }
-    h
-}
-
-/// Build one structure, run the same query stream through the flat and the
-/// blocked descent (in `qbatch`-sized batches), and return both timings.
-/// Query counts scale with n so `--smoke` stays cheap.
-fn run_query_compare(workload: &str, n_override: Option<usize>, qbatch: usize) -> QueryCompare {
-    let omega = Omega::new(1);
-    let qbatch = qbatch.max(1);
-    match workload {
+/// Build one query workload's structure and stream, and time the stream
+/// through both sides.  Returns `(n, queries, timing)`; query counts scale
+/// with n so `--smoke` stays cheap.  Answers must match on every row, and
+/// counters on every row but `range2d_cascade`: cascading is a model-level
+/// read optimisation, so that row must keep writes and depth equal and cut
+/// reads (MODEL.md §3.3).
+fn query_compare(workload: &str, n: Option<usize>, qbatch: usize) -> (usize, usize, AbTiming) {
+    let n = n.unwrap_or(200_000);
+    let (queries, timing) = match workload {
         "interval_stab" => {
-            let n = n_override.unwrap_or(200_000);
-            let intervals = random_intervals(n, 1e6, 200.0, 17);
-            let tree = IntervalTree::build_parallel(&intervals, 2);
+            let tree = IntervalTree::build_parallel(&inputs::intervals(n), 2);
             let qs = stabbing_queries((n / 10).clamp(200, 20_000), 1e6, 71);
-            for &x in qs.iter().take(128) {
-                tree.stab_flat(x);
-                tree.stab(x);
-            }
-            let (sf, flat) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    for chunk in qs.chunks(qbatch) {
-                        for &x in chunk {
-                            acc = fold_ids(acc, &tree.stab_flat(x));
-                        }
-                    }
-                    acc
-                })
-            });
-            let (sb, blocked) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    for chunk in qs.chunks(qbatch) {
-                        for &x in chunk {
-                            acc = fold_ids(acc, &tree.stab(x));
-                        }
-                    }
-                    acc
-                })
-            });
-            QueryCompare {
-                n,
-                queries: qs.len(),
-                flat,
-                blocked,
-                answers_equal: sf == sb,
-            }
+            let flat = fold_ids(|&x| tree.stab_flat(x));
+            (qs.len(), ab_stream(&qs, flat, fold_ids(|&x| tree.stab(x))))
         }
         "range2d" | "range2d_cascade" => {
-            let n = n_override.unwrap_or(200_000);
-            let points: Vec<RtPoint> = uniform_points_2d(n, 31)
-                .into_iter()
-                .enumerate()
-                .map(|(i, point)| RtPoint {
-                    point,
-                    id: i as u64,
-                })
-                .collect();
-            let tree = RangeTree2D::build(&points, 8);
-            // Wide-x, thin-y rectangles: many fully-contained critical
-            // nodes, so the stream spends its time in the outer descent and
-            // the inner run searches — the retrofitted paths — while the
-            // answer sets (and the reporting work, identical on both sides)
-            // stay small.
-            let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-            let qs: Vec<Rect> = (0..(n / 50).clamp(100, 4_000))
-                .map(|_| {
-                    let w = rng.gen_range(0.05..0.25);
-                    let h = rng.gen_range(0.0001..0.001);
-                    let x = rng.gen_range(0.0..(1.0 - w));
-                    let y = rng.gen_range(0.0..(1.0 - h));
-                    Rect::new(x, x + w, y, y + h)
-                })
-                .collect();
+            let tree = RangeTree2D::build(&inputs::rt_points(n), 8);
+            let qs = inputs::thin_rects((n / 50).clamp(100, 4_000));
             // `range2d` A/Bs the physical layout with cascading held off
             // on both sides (flat vs vEB-blocked descent — the PR 7 row);
             // `range2d_cascade` A/Bs cascading itself: the uncascaded
             // blocked descent against the fractionally cascaded default.
-            let cascade = workload == "range2d_cascade";
-            let before: &dyn Fn(&Rect) -> Vec<u64> = if cascade {
-                &|rect| tree.query_uncascaded(rect)
+            let (before, after): (Walk, Walk) = if workload == "range2d_cascade" {
+                (RangeTree2D::query_uncascaded, RangeTree2D::query)
             } else {
-                &|rect| tree.query_flat_uncascaded(rect)
+                (
+                    RangeTree2D::query_flat_uncascaded,
+                    RangeTree2D::query_uncascaded,
+                )
             };
-            let after: &dyn Fn(&Rect) -> Vec<u64> = if cascade {
-                &|rect| tree.query(rect)
-            } else {
-                &|rect| tree.query_uncascaded(rect)
-            };
-            for rect in qs.iter().take(64) {
-                before(rect);
-                after(rect);
-            }
-            let (sf, flat) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    for chunk in qs.chunks(qbatch) {
-                        for rect in chunk {
-                            acc = fold_ids(acc, &before(rect));
-                        }
-                    }
-                    acc
-                })
-            });
-            let (sb, blocked) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    for chunk in qs.chunks(qbatch) {
-                        for rect in chunk {
-                            acc = fold_ids(acc, &after(rect));
-                        }
-                    }
-                    acc
-                })
-            });
-            QueryCompare {
-                n,
-                queries: qs.len(),
-                flat,
-                blocked,
-                answers_equal: sf == sb,
-            }
+            let before = fold_ids(|r| before(&tree, r));
+            (
+                qs.len(),
+                ab_stream(&qs, before, fold_ids(|r| after(&tree, r))),
+            )
         }
-        "delaunay_locate" => {
+        _ => {
             // The point-location predicate stream: many in-circle tests of
             // query points against fixed CCW triangles — the inner loop of
-            // the Delaunay engine's cavity assessment.  "Flat" is the
-            // one-at-a-time exact i128 predicate; "blocked" stages the
-            // queries as SoA slices for the width-filtered batch kernel.
-            // Both sides are uncharged (the engine accounts per test), so
-            // the counter deltas are zero on both — equal by construction.
-            let n = n_override.unwrap_or(200_000);
-            let span = 1i64 << 20;
-            let tri_pts = uniform_grid_points(144, span, 7);
-            let triangles: Vec<(GridPoint, GridPoint, GridPoint)> = tri_pts
-                .chunks_exact(3)
-                .filter_map(|t| {
-                    if is_ccw(t[0], t[1], t[2]) {
-                        Some((t[0], t[1], t[2]))
-                    } else if is_ccw(t[0], t[2], t[1]) {
-                        Some((t[0], t[2], t[1]))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            let queries = uniform_grid_points(n / triangles.len().max(1), span, 73);
-            let total = triangles.len() * queries.len();
-            let (sf, flat) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    for &(a, b, c) in &triangles {
-                        for chunk in queries.chunks(qbatch) {
-                            for &d in chunk {
-                                acc = acc
-                                    .wrapping_mul(3)
-                                    .wrapping_add(u64::from(in_circle(a, b, c, d)));
-                            }
-                        }
-                    }
-                    acc
-                })
-            });
-            let (sb, blocked) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    let mut dx = vec![0i64; qbatch];
-                    let mut dy = vec![0i64; qbatch];
-                    let mut out = vec![false; qbatch];
-                    for &(a, b, c) in &triangles {
-                        for chunk in queries.chunks(qbatch) {
-                            let m = chunk.len();
-                            for (i, d) in chunk.iter().enumerate() {
-                                dx[i] = d.x;
-                                dy[i] = d.y;
-                            }
-                            in_circle_batch(a, b, c, &dx[..m], &dy[..m], &mut out[..m]);
-                            for &inside in &out[..m] {
-                                acc = acc.wrapping_mul(3).wrapping_add(u64::from(inside));
-                            }
-                        }
-                    }
-                    acc
-                })
-            });
-            QueryCompare {
-                n,
-                queries: total,
-                flat,
-                blocked,
-                answers_equal: sf == sb,
-            }
-        }
-        "incircle_simd" => {
-            // The SIMD A/B over the same staged SoA predicate storm:
-            // "flat" is the scalar batch loop (the dispatch fallback and
-            // bit-equality oracle), "blocked" the public dispatcher — the
-            // explicit AVX2 kernel wherever the host has it.  Both sides
-            // are uncharged batch kernels (the engine accounts per test),
-            // so the counter deltas are zero on both — equal by
-            // construction; answers must be bit-equal.
-            let n = n_override.unwrap_or(200_000);
-            let span = 1i64 << 20;
-            let tri_pts = uniform_grid_points(144, span, 7);
-            let triangles: Vec<(GridPoint, GridPoint, GridPoint)> = tri_pts
-                .chunks_exact(3)
-                .filter_map(|t| {
-                    if is_ccw(t[0], t[1], t[2]) {
-                        Some((t[0], t[1], t[2]))
-                    } else if is_ccw(t[0], t[2], t[1]) {
-                        Some((t[0], t[2], t[1]))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            let queries = uniform_grid_points(n / triangles.len().max(1), span, 73);
-            let total = triangles.len() * queries.len();
-            let run = |batch: &InCircleBatchFn| {
-                let mut acc = 0u64;
-                let mut dx = vec![0i64; qbatch];
-                let mut dy = vec![0i64; qbatch];
-                let mut out = vec![false; qbatch];
-                for &(a, b, c) in &triangles {
-                    for chunk in queries.chunks(qbatch) {
+            // the Delaunay engine's cavity assessment.  `delaunay_locate`
+            // times the one-at-a-time exact i128 predicate against the
+            // width-filtered batch kernel over SoA-staged queries;
+            // `incircle_simd` times the scalar batch loop (the dispatch
+            // fallback and bit-equality oracle) against the dispatcher —
+            // the explicit AVX2 kernel wherever the host has it.  Every side
+            // is uncharged (the engine accounts per test), so the counter
+            // deltas are zero on both — equal by construction.
+            let triangles = inputs::ccw_triangles();
+            let queries = inputs::grid_queries(n / triangles.len().max(1));
+            let queries = &queries;
+            let mix = |acc: u64, inside: bool| acc.wrapping_mul(3).wrapping_add(u64::from(inside));
+            let staged = |kernel: Kernel| {
+                let (mut dx, mut dy, mut out) =
+                    (vec![0i64; qbatch], vec![0i64; qbatch], vec![false; qbatch]);
+                move |acc, &[a, b, c]: &[GridPoint; 3]| {
+                    queries.chunks(qbatch).fold(acc, |acc, chunk| {
                         let m = chunk.len();
                         for (i, d) in chunk.iter().enumerate() {
                             dx[i] = d.x;
                             dy[i] = d.y;
                         }
-                        batch(a, b, c, &dx[..m], &dy[..m], &mut out[..m]);
-                        for &inside in &out[..m] {
-                            acc = acc.wrapping_mul(3).wrapping_add(u64::from(inside));
-                        }
-                    }
+                        kernel(a, b, c, &dx[..m], &dy[..m], &mut out[..m]);
+                        out[..m].iter().fold(acc, |acc, &inside| mix(acc, inside))
+                    })
                 }
-                acc
             };
-            let (sf, flat) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    run(&|a, b, c, dx, dy, out| in_circle_batch_scalar(a, b, c, dx, dy, out))
-                })
-            });
-            let (sb, blocked) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    run(&|a, b, c, dx, dy, out| in_circle_batch(a, b, c, dx, dy, out))
-                })
-            });
-            QueryCompare {
-                n,
-                queries: total,
-                flat,
-                blocked,
-                answers_equal: sf == sb,
-            }
+            let timing = if workload == "delaunay_locate" {
+                let exact = |acc, &[a, b, c]: &[GridPoint; 3]| {
+                    queries
+                        .iter()
+                        .fold(acc, |acc, &d| mix(acc, in_circle(a, b, c, d)))
+                };
+                ab_stream(&triangles, exact, staged(in_circle_batch))
+            } else {
+                ab_stream(
+                    &triangles,
+                    staged(in_circle_batch_scalar),
+                    staged(in_circle_batch),
+                )
+            };
+            (triangles.len() * queries.len(), timing)
         }
-        other => {
-            eprintln!("unknown query workload {other:?}; expected one of {QUERY_WORKLOADS:?}");
-            std::process::exit(2);
-        }
-    }
+    };
+    (n, queries, timing)
 }
 
 /// One `query_compare` JSON line for a child whose pool size is fixed.
-fn run_query_child(workload: &str, n_override: Option<usize>, qbatch: usize) -> String {
-    let threads = rayon::current_num_threads();
-    let c = run_query_compare(workload, n_override, qbatch);
-    let flat_ms = c.flat.elapsed.as_secs_f64() * 1e3;
-    let blocked_ms = c.blocked.elapsed.as_secs_f64() * 1e3;
-    let writes_equal = c.flat.writes == c.blocked.writes;
-    let depth_equal = c.flat.depth == c.blocked.depth;
-    let counters_equal = c.flat.reads == c.blocked.reads && writes_equal && depth_equal;
+fn query_row(workload: &str, n: Option<usize>, qbatch: usize) -> String {
+    let (n, queries, timing) = query_compare(workload, n, qbatch);
+    let (flat, blocked, answers_equal) = (timing.before, timing.after, timing.answers_equal);
+    let flat_ms = flat.elapsed.as_secs_f64() * 1e3;
+    let blocked_ms = blocked.elapsed.as_secs_f64() * 1e3;
+    let writes_equal = flat.writes == blocked.writes;
+    let depth_equal = flat.depth == blocked.depth;
+    let counters_equal = flat.reads == blocked.reads && writes_equal && depth_equal;
     // Strict: only the cascade row may (and must) set it — every other row
     // keeps reads exactly equal (MODEL.md §3.3).
-    let reads_reduced = c.blocked.reads < c.flat.reads;
-    format!(
-        "{{\"mode\":\"query_compare\",\"workload\":\"{workload}\",\"n\":{},\
-         \"queries\":{},\"qbatch\":{qbatch},\"threads\":{threads},{},\
-         \"flat_millis\":{flat_ms:.3},\"blocked_millis\":{blocked_ms:.3},\
-         \"gain\":{:.3},\
-         \"flat_reads\":{},\"blocked_reads\":{},\
-         \"flat_writes\":{},\"blocked_writes\":{},\
-         \"counters_equal\":{counters_equal},\"writes_equal\":{writes_equal},\
-         \"depth_equal\":{depth_equal},\"reads_reduced\":{reads_reduced},\
-         \"answers_equal\":{}}}",
-        c.n,
-        c.queries,
-        thread_fields(),
-        flat_ms / blocked_ms.max(1e-9),
-        c.flat.reads,
-        c.blocked.reads,
-        c.flat.writes,
-        c.blocked.writes,
-        c.answers_equal,
+    let reads_reduced = blocked.reads < flat.reads;
+    json_row(
+        &format!(
+            "\"mode\":\"query_compare\",\"workload\":\"{workload}\",\"n\":{n},\
+             \"queries\":{queries},\"qbatch\":{qbatch},\"threads\":{}",
+            rayon::current_num_threads()
+        ),
+        &format!(
+            "\"flat_millis\":{flat_ms:.3},\"blocked_millis\":{blocked_ms:.3},\
+             \"gain\":{:.3},\
+             \"flat_reads\":{},\"blocked_reads\":{},\
+             \"flat_writes\":{},\"blocked_writes\":{},\
+             \"counters_equal\":{counters_equal},\"writes_equal\":{writes_equal},\
+             \"depth_equal\":{depth_equal},\"reads_reduced\":{reads_reduced},\
+             \"answers_equal\":{answers_equal}",
+            flat_ms / blocked_ms.max(1e-9),
+            flat.reads,
+            blocked.reads,
+            flat.writes,
+            blocked.writes,
+        ),
     )
-}
-
-/// The flat-vs-blocked query A/B across workloads (one child per
-/// `(workload, threads)` so the pool width is honest).
-fn run_queries_parent(args: &[String]) {
-    let exe = std::env::current_exe().expect("current_exe");
-    let n_override = arg_usize(args, "--n");
-    let qbatch = arg_usize(args, "--qbatch").unwrap_or(DEFAULT_QBATCH);
-    let workloads: Vec<String> = match arg_str(args, "--workload") {
-        Some(w) => vec![w],
-        None => QUERY_WORKLOADS.iter().map(|w| w.to_string()).collect(),
-    };
-    let threads: Vec<usize> = match arg_str(args, "--threads") {
-        Some(list) => parse_list(&list),
-        None => vec![std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)],
-    };
-
-    for workload in &workloads {
-        for &t in &threads {
-            let mut cmd = Command::new(&exe);
-            cmd.arg("--child-queries").arg(workload);
-            if let Some(n) = n_override {
-                cmd.arg("--n").arg(n.to_string());
-            }
-            cmd.arg("--qbatch").arg(qbatch.to_string());
-            cmd.env("RAYON_NUM_THREADS", t.to_string());
-            let out = cmd.output().expect("failed to spawn query child");
-            if !out.status.success() {
-                eprintln!(
-                    "query child ({workload}, {t} threads) failed: {}",
-                    String::from_utf8_lossy(&out.stderr)
-                );
-                std::process::exit(1);
-            }
-            let line = String::from_utf8_lossy(&out.stdout).trim().to_string();
-            println!("{line}");
-            let flat_ms = json_f64(&line, "flat_millis").unwrap_or(0.0);
-            let blocked_ms = json_f64(&line, "blocked_millis").unwrap_or(0.0);
-            let gain = json_f64(&line, "gain").unwrap_or(0.0);
-            eprintln!(
-                "{workload:<15} threads={t:<3} flat {flat_ms:>9.2} ms   blocked {blocked_ms:>9.2} ms   gain {gain:>5.2}x"
-            );
-        }
-    }
-}
-
-/// The n × ω × threads crossover sweep (re-executing one child per
-/// `(workload, n, threads)`; ω rows are derived inside the child).
-fn run_sweep_parent(args: &[String]) {
-    let exe = std::env::current_exe().expect("current_exe");
-    let workloads: Vec<String> = match arg_str(args, "--workload") {
-        Some(w) => vec![w],
-        None => SWEEP_WORKLOADS.iter().map(|w| w.to_string()).collect(),
-    };
-    let ns: Vec<usize> = match arg_str(args, "--ns") {
-        Some(list) => parse_list(&list),
-        None => match arg_usize(args, "--n") {
-            Some(n) => vec![n],
-            None => vec![5_000, 10_000, 20_000, 50_000],
-        },
-    };
-    let omegas_flag = arg_str(args, "--omegas").unwrap_or_else(|| "1,5,10,20,40".to_string());
-    let threads: Vec<usize> = match arg_str(args, "--threads") {
-        Some(list) => parse_list(&list),
-        None => {
-            let max = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            let mut ts = vec![1, max];
-            ts.sort_unstable();
-            ts.dedup();
-            ts
-        }
-    };
-
-    for workload in &workloads {
-        for &n in &ns {
-            for &t in &threads {
-                let mut cmd = Command::new(&exe);
-                cmd.arg("--child-sweep")
-                    .arg(workload)
-                    .arg("--n")
-                    .arg(n.to_string())
-                    .arg("--omegas")
-                    .arg(&omegas_flag);
-                cmd.env("RAYON_NUM_THREADS", t.to_string());
-                let out = cmd.output().expect("failed to spawn sweep child");
-                if !out.status.success() {
-                    eprintln!(
-                        "sweep child ({workload}, n={n}, {t} threads) failed: {}",
-                        String::from_utf8_lossy(&out.stderr)
-                    );
-                    std::process::exit(1);
-                }
-                let stdout = String::from_utf8_lossy(&out.stdout);
-                for line in stdout.lines().filter(|l| !l.trim().is_empty()) {
-                    println!("{line}");
-                }
-                if let Some(first) = stdout.lines().next() {
-                    let gap = json_f64(first, "write_gap").unwrap_or(0.0);
-                    let millis = json_f64(first, "we_millis").unwrap_or(0.0);
-                    eprintln!(
-                        "{workload:<10} n={n:<8} threads={t:<3} we {millis:>10.2} ms   write gap {gap:>6.2}x"
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// Tiny in-process sweep: the JSON emitter must produce parseable lines and
 /// the crossover claim must hold — at the largest swept ω the
 /// write-efficient variant costs less ω-weighted work than the baseline.
-fn run_smoke() {
+fn smoke() {
     let omegas = [1usize, 40];
-    for workload in SWEEP_WORKLOADS {
-        let n = 3_000;
-        let lines = run_sweep_child(workload, n, &omegas);
+    for workload in PAIRS {
+        let lines = sweep_rows(workload, 3_000, &omegas);
         assert_eq!(lines.len(), omegas.len(), "one line per ω");
         for line in &lines {
-            for key in [
-                "n",
-                "omega",
-                "threads",
-                "base_reads",
-                "base_writes",
-                "base_work",
-                "we_reads",
-                "we_writes",
-                "we_work",
-                "write_gap",
-            ] {
-                assert!(
-                    json_f64(line, key).is_some(),
-                    "smoke: key {key:?} missing or non-numeric in {line}"
-                );
-            }
+            assert_numeric(
+                line,
+                "n omega threads base_reads base_writes base_work we_reads we_writes we_work write_gap",
+            );
             println!("{line}");
         }
         let last = lines.last().expect("non-empty sweep");
@@ -979,39 +558,49 @@ fn run_smoke() {
     // and strictly reduce reads.  (No wall-clock assertion here; gains are
     // claimed only by committed full-size BENCH rows.)
     for workload in QUERY_WORKLOADS {
-        let line = run_query_child(workload, Some(20_000), DEFAULT_QBATCH);
-        for key in ["n", "queries", "qbatch", "flat_millis", "blocked_millis"] {
-            assert!(
-                json_f64(&line, key).is_some(),
-                "smoke: key {key:?} missing or non-numeric in {line}"
-            );
-        }
+        let line = query_row(workload, Some(20_000), DEFAULT_QBATCH);
+        assert_numeric(&line, "n queries qbatch flat_millis blocked_millis");
         if *workload == "range2d_cascade" {
-            assert!(
-                line.contains("\"writes_equal\":true"),
-                "smoke: {workload} cascaded path moved the write bill: {line}"
+            assert_true(
+                &line,
+                "writes_equal",
+                "the cascaded path moved the write bill",
             );
-            assert!(
-                line.contains("\"depth_equal\":true"),
-                "smoke: {workload} cascaded path moved the depth bill: {line}"
+            assert_true(
+                &line,
+                "depth_equal",
+                "the cascaded path moved the depth bill",
             );
-            assert!(
-                line.contains("\"reads_reduced\":true"),
-                "smoke: {workload} cascading must cut the read bill: {line}"
-            );
+            assert_true(&line, "reads_reduced", "cascading must cut the read bill");
         } else {
-            assert!(
-                line.contains("\"counters_equal\":true"),
-                "smoke: {workload} blocked path moved the counters: {line}"
+            assert_true(
+                &line,
+                "counters_equal",
+                "the blocked path moved the counters",
             );
         }
-        assert!(
-            line.contains("\"answers_equal\":true"),
-            "smoke: {workload} blocked path changed an answer: {line}"
-        );
+        assert_true(&line, "answers_equal", "the blocked path changed an answer");
         println!("{line}");
     }
     eprintln!("query smoke ok");
+}
+
+/// Smoke check: each of the space-separated `keys` is numeric in `line`.
+fn assert_numeric(line: &str, keys: &str) {
+    for key in keys.split_whitespace() {
+        assert!(
+            json_f64(line, key).is_some(),
+            "smoke: key {key:?} missing or non-numeric in {line}"
+        );
+    }
+}
+
+/// Smoke check: `flag` is `true` in `line`.
+fn assert_true(line: &str, flag: &str, what: &str) {
+    assert!(
+        line.contains(&format!("\"{flag}\":true")),
+        "smoke: {what}: {line}"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -1162,7 +751,7 @@ fn percentile_us(sorted: &[f64], pct: usize) -> f64 {
 /// calibration; the reader adds admission control and bounded degraded
 /// retries, and the row grows the fault-mode fields.  Without it, the row
 /// is byte-identical to the plain serve schema.
-fn run_serve_child(
+fn serve_row(
     loop_mode: &str,
     n: usize,
     shards: usize,
@@ -1173,10 +762,6 @@ fn run_serve_child(
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Instant;
 
-    assert!(
-        loop_mode == "closed" || loop_mode == "open",
-        "serve loop must be closed or open, got {loop_mode:?}"
-    );
     #[cfg(not(feature = "faultinject"))]
     assert!(
         fault_seed.is_none(),
@@ -1244,17 +829,12 @@ fn run_serve_child(
             // (batches_degraded, retries, batches_rejected) — fault mode.
             let mut obs = (0usize, 0usize, 0usize);
             for (i, qb) in query_batches.iter().enumerate() {
-                let start = if open {
-                    // Open loop: arrivals are scheduled, not gated on
-                    // completion — latency includes queueing delay.
-                    let arrival_us = interval_us * i as f64;
-                    while (t0.elapsed().as_secs_f64() * 1e6) < arrival_us {
-                        std::hint::spin_loop();
-                    }
-                    t0.elapsed().as_secs_f64() * 1e6
-                } else {
-                    t0.elapsed().as_secs_f64() * 1e6
-                };
+                // Open loop: arrivals are scheduled, not gated on
+                // completion — latency includes queueing delay.
+                while open && t0.elapsed().as_secs_f64() * 1e6 < interval_us * i as f64 {
+                    std::hint::spin_loop();
+                }
+                let start = t0.elapsed().as_secs_f64() * 1e6;
                 if faulted && open {
                     // Admission control: arrivals due but unhandled beyond
                     // this batch form the backlog; shed instead of queue.
@@ -1331,128 +911,36 @@ fn run_serve_child(
         }
     };
 
-    format!(
-        "{{\"mode\":\"serve\",\"loop\":\"{loop_mode}\",\"n\":{n},\"shards\":{shards},\
-         \"qbatch\":{qbatch},\"batches\":{batches},{},\"millis\":{total_millis:.3},\
-         \"interval_us\":{interval_us:.1},\"throughput_qps\":{throughput_qps:.1},\
-         \"p50_us\":{:.1},\"p99_us\":{:.1},\"max_us\":{:.1},\
-         \"generations_swapped\":{gens_swapped},\"overlap_batches\":{overlap_batches},\
-         \"distinct_gens_observed\":{distinct_gens}{fault_fields}}}",
-        thread_fields(),
-        percentile_us(&sorted, 50),
-        percentile_us(&sorted, 99),
-        sorted.last().expect("non-empty"),
+    json_row(
+        &format!(
+            "\"mode\":\"serve\",\"loop\":\"{loop_mode}\",\"n\":{n},\"shards\":{shards},\
+             \"qbatch\":{qbatch},\"batches\":{batches}"
+        ),
+        &format!(
+            "\"millis\":{total_millis:.3},\
+             \"interval_us\":{interval_us:.1},\"throughput_qps\":{throughput_qps:.1},\
+             \"p50_us\":{:.1},\"p99_us\":{:.1},\"max_us\":{:.1},\
+             \"generations_swapped\":{gens_swapped},\"overlap_batches\":{overlap_batches},\
+             \"distinct_gens_observed\":{distinct_gens}{fault_fields}",
+            percentile_us(&sorted, 50),
+            percentile_us(&sorted, 99),
+            sorted.last().expect("non-empty"),
+        ),
     )
-}
-
-/// Parent for `--serve`: one child per (loop, threads), pool width fixed
-/// through the environment exactly like the speedup mode.
-fn run_serve_parent(args: &[String]) {
-    let exe = std::env::current_exe().expect("current_exe");
-    let n = arg_usize(args, "--n").unwrap_or(DEFAULT_SERVE_N);
-    let shards = arg_usize(args, "--shards").unwrap_or(DEFAULT_SERVE_SHARDS);
-    let qbatch = arg_usize(args, "--qbatch").unwrap_or(DEFAULT_QBATCH);
-    let batches = arg_usize(args, "--batches").unwrap_or(DEFAULT_SERVE_BATCHES);
-    let faults = args.iter().any(|a| a == "--faults");
-    if faults && !cfg!(feature = "faultinject") {
-        eprintln!(
-            "--faults requires the faultinject feature: \
-             cargo run --release -p pwe-bench --features faultinject --bin speedup -- --serve --faults"
-        );
-        std::process::exit(2);
-    }
-    let fault_seed = arg_usize(args, "--fault-seed")
-        .map(|s| s as u64)
-        .unwrap_or(SERVE_FAULT_SEED);
-    let threads: Vec<usize> = match arg_str(args, "--threads") {
-        Some(list) => parse_list(&list),
-        None => {
-            let max = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            let mut ts = vec![max, 4];
-            ts.sort_unstable();
-            ts.dedup();
-            ts
-        }
-    };
-    for &t in &threads {
-        for loop_mode in ["closed", "open"] {
-            let mut cmd = Command::new(&exe);
-            cmd.arg("--child-serve")
-                .arg(loop_mode)
-                .arg("--n")
-                .arg(n.to_string())
-                .arg("--shards")
-                .arg(shards.to_string())
-                .arg("--qbatch")
-                .arg(qbatch.to_string())
-                .arg("--batches")
-                .arg(batches.to_string());
-            if faults {
-                cmd.arg("--fault-seed").arg(fault_seed.to_string());
-            }
-            cmd.env("RAYON_NUM_THREADS", t.to_string());
-            let out = cmd.output().expect("failed to spawn serve child");
-            if !out.status.success() {
-                eprintln!(
-                    "serve child ({loop_mode}, {t} threads) failed: {}",
-                    String::from_utf8_lossy(&out.stderr)
-                );
-                std::process::exit(1);
-            }
-            let line = String::from_utf8_lossy(&out.stdout).trim().to_string();
-            println!("{line}");
-            let qps = json_f64(&line, "throughput_qps").unwrap_or(0.0);
-            let p50 = json_f64(&line, "p50_us").unwrap_or(0.0);
-            let p99 = json_f64(&line, "p99_us").unwrap_or(0.0);
-            let overlap = json_f64(&line, "overlap_batches").unwrap_or(0.0);
-            eprintln!(
-                "serve {loop_mode:<6} threads={t:<3} {qps:>10.0} q/s   \
-                 p50 {p50:>8.1} µs   p99 {p99:>8.1} µs   overlap {overlap}"
-            );
-            if faults {
-                let injected = json_f64(&line, "faults_injected").unwrap_or(0.0);
-                let degraded = json_f64(&line, "batches_degraded").unwrap_or(0.0);
-                let retries = json_f64(&line, "retries").unwrap_or(0.0);
-                let rejected = json_f64(&line, "batches_rejected").unwrap_or(0.0);
-                eprintln!(
-                    "      faults: injected {injected}   degraded {degraded}   \
-                     retries {retries}   rejected {rejected}"
-                );
-            }
-        }
-    }
 }
 
 /// `--serve-smoke`: a small in-process run of both loop modes that
 /// validates the `BENCH_service.json` row schema and its internal sanity;
 /// any violation aborts with a non-zero exit.  CI runs this.
-fn run_serve_smoke() {
+fn serve_smoke() {
     for loop_mode in ["closed", "open"] {
-        let line = run_serve_child(loop_mode, 2_000, 3, 64, 30, None);
-        for key in [
-            "n",
-            "shards",
-            "qbatch",
-            "batches",
-            "millis",
-            "interval_us",
-            "throughput_qps",
-            "p50_us",
-            "p99_us",
-            "max_us",
-            "generations_swapped",
-            "overlap_batches",
-            "distinct_gens_observed",
-            "threads_available",
-            "rayon_threads",
-        ] {
-            assert!(
-                json_f64(&line, key).is_some(),
-                "serve smoke: key {key:?} missing or non-numeric in {line}"
-            );
-        }
+        let line = serve_row(loop_mode, 2_000, 3, 64, 30, None);
+        assert_numeric(
+            &line,
+            "n shards qbatch batches millis interval_us throughput_qps p50_us p99_us max_us \
+             generations_swapped overlap_batches distinct_gens_observed threads_available \
+             rayon_threads",
+        );
         assert!(
             line.contains("\"mode\":\"serve\"")
                 && line.contains(&format!("\"loop\":\"{loop_mode}\"")),
@@ -1486,22 +974,12 @@ fn run_serve_smoke() {
     // through the containment layer.
     #[cfg(feature = "faultinject")]
     {
-        let line = run_serve_child("closed", 2_000, 3, 64, 30, Some(SERVE_FAULT_SEED));
-        for key in [
-            "fault_seed",
-            "faults_injected",
-            "batches_degraded",
-            "retries",
-            "batches_rejected",
-            "quarantine_generations",
-            "rebuild_failures",
-            "publish_aborts",
-        ] {
-            assert!(
-                json_f64(&line, key).is_some(),
-                "serve smoke: fault key {key:?} missing or non-numeric in {line}"
-            );
-        }
+        let line = serve_row("closed", 2_000, 3, 64, 30, Some(SERVE_FAULT_SEED));
+        assert_numeric(
+            &line,
+            "fault_seed faults_injected batches_degraded retries batches_rejected \
+             quarantine_generations rebuild_failures publish_aborts",
+        );
         assert!(
             json_f64(&line, "faults_injected").unwrap() > 0.0,
             "serve smoke: armed plan injected nothing in {line}"
@@ -1513,50 +991,4 @@ fn run_serve_smoke() {
         println!("{line}");
     }
     eprintln!("serve smoke ok");
-}
-
-/// Parse a comma-separated list of positive integers; a malformed token is
-/// an error, not a silent drop (a typo must not shrink a sweep unnoticed).
-fn parse_list(list: &str) -> Vec<usize> {
-    let mut out: Vec<usize> = list
-        .split(',')
-        .map(|t| {
-            let v: usize = t
-                .trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("unparseable list entry {t:?} in {list:?}"));
-            assert!(v > 0, "list entry {t:?} must be positive in {list:?}");
-            v
-        })
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    assert!(!out.is_empty(), "empty numeric list {list:?}");
-    out
-}
-
-fn random_keys(n: usize, seed: u64) -> Vec<u64> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen()).collect()
-}
-
-/// Extract `"key":<number>` from a flat JSON object line (the only JSON this
-/// binary ever parses is the one it printed itself).
-fn json_f64(line: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn arg_str(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn arg_usize(args: &[String], key: &str) -> Option<usize> {
-    arg_str(args, key).and_then(|v| v.parse().ok())
 }

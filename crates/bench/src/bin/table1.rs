@@ -6,13 +6,21 @@
 //! Usage: `cargo run --release -p pwe-bench --bin table1 [-- --n 20000 --tree all]`
 
 use pwe_asym::cost::Omega;
+use pwe_bench::harness::{Args, Kind};
 use pwe_bench::{interval_experiment, print_table, priority_experiment, range_tree_experiment};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let n = arg_value(&args, "--n").unwrap_or(20_000);
-    let tree = arg_str(&args, "--tree").unwrap_or_else(|| "all".to_string());
-    let omega = Omega::new(arg_value(&args, "--omega").unwrap_or(10) as u64);
+    let args = Args::from_env(&[
+        ("--n", Kind::Num),
+        (
+            "--tree",
+            Kind::Choice(&["all", "interval", "priority", "range"]),
+        ),
+        ("--omega", Kind::Pos),
+    ]);
+    let n = args.num("--n").unwrap_or(20_000);
+    let tree = args.name("--tree").unwrap_or("all");
+    let omega = Omega::new(args.num("--omega").unwrap_or(10) as u64);
     let alphas = [2usize, 4, 8, 16];
 
     println!("Table 1 reproduction — n = {n}, {omega}, α sweep = {alphas:?}");
@@ -34,18 +42,4 @@ fn main() {
             &range_tree_experiment(n, &alphas, omega),
         );
     }
-}
-
-fn arg_value(args: &[String], key: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn arg_str(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }

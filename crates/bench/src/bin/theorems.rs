@@ -7,36 +7,41 @@
 //! Usage: `cargo run --release -p pwe-bench --bin theorems [-- --exp all --n 50000]`
 
 use pwe_asym::cost::Omega;
+use pwe_bench::harness::{Args, Kind};
 use pwe_bench::{
     delaunay_experiment, kdtree_experiment, print_smallmem_table, print_table, smallmem_experiment,
     sort_experiment,
 };
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let exp = arg_str(&args, "--exp").unwrap_or_else(|| "all".to_string());
-    let omegas: Vec<Omega> = match arg_value(&args, "--omega") {
+    let args = Args::from_env(&[
+        (
+            "--exp",
+            Kind::Choice(&["all", "sort", "delaunay", "kdtree", "smallmem"]),
+        ),
+        ("--n", Kind::Num),
+        ("--omega", Kind::Pos),
+    ]);
+    let exp = args.name("--exp").unwrap_or("all");
+    let n = args.num("--n").unwrap_or(100_000);
+    let omegas: Vec<Omega> = match args.num("--omega") {
         Some(w) => vec![Omega::new(w as u64)],
         None => Omega::paper_sweep(),
     };
 
-    let cost_exps = exp == "all" || ["sort", "delaunay", "kdtree"].contains(&exp.as_str());
-    if cost_exps {
+    if exp != "smallmem" {
         for omega in &omegas {
             println!("\n################ {omega} ################");
             if exp == "all" || exp == "sort" {
-                let n = arg_value(&args, "--n").unwrap_or(100_000);
                 print_table("Theorem 4.1 — comparison sort", &sort_experiment(n, *omega));
             }
             if exp == "all" || exp == "delaunay" {
-                let n = arg_value(&args, "--n").unwrap_or(100_000).min(20_000);
                 print_table(
                     "Theorem 5.1 — planar Delaunay triangulation",
-                    &delaunay_experiment(n, *omega),
+                    &delaunay_experiment(n.min(20_000), *omega),
                 );
             }
             if exp == "all" || exp == "kdtree" {
-                let n = arg_value(&args, "--n").unwrap_or(100_000);
                 let (rows, notes) = kdtree_experiment(n, *omega);
                 print_table("Theorem 6.1 — k-d tree construction (p ablation)", &rows);
                 for note in notes {
@@ -44,32 +49,14 @@ fn main() {
                 }
             }
         }
-    } else if exp != "smallmem" {
-        eprintln!("unknown --exp {exp:?}; expected all, sort, delaunay, kdtree or smallmem");
-        std::process::exit(2);
     }
 
     // The small-memory ledger is ω-independent (symmetric accesses are free
     // at every ω), so it is reported once, outside the ω sweep.
     if exp == "all" || exp == "smallmem" {
-        let n = arg_value(&args, "--n").unwrap_or(100_000);
         print_smallmem_table(
             "Small-memory assumptions (Thms 3.1/4.1/5.1/6.1/7.1) — per-task high water",
             &smallmem_experiment(n),
         );
     }
-}
-
-fn arg_value(args: &[String], key: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn arg_str(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }

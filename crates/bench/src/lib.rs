@@ -1,5 +1,7 @@
-//! Experiment harness shared by the `table1` / `theorems` binaries and the
-//! criterion benches.
+//! Experiment harness shared by the `table1`, `theorems` and `speedup`
+//! binaries and the criterion benches: the experiments below, the seeded
+//! [`inputs`], the (baseline, write-efficient) [`PAIRS`], and the binaries'
+//! shared driver in [`harness`].
 //!
 //! Every function runs one of the paper's experiments — the theorem
 //! baselines vs write-efficient pairs of §4 (sort), §5 (Delaunay) and §6
@@ -12,22 +14,21 @@
 //! with α and ω.  The machine-readable counterpart is the `speedup` binary,
 //! whose JSON schema is specified in the repo-root `MODEL.md`.
 
+pub mod harness;
+
 use pwe_asym::cost::{measure, CostReport, Omega};
 use pwe_asym::smallmem::{ScratchReport, SmallMem, TaskScratch};
 use pwe_augtree::interval::IntervalTree;
-use pwe_augtree::priority::{PrioritySearchTree, PsPoint};
-use pwe_augtree::range_tree::{RangeTree2D, RtPoint};
+use pwe_augtree::priority::PrioritySearchTree;
+use pwe_augtree::range_tree::RangeTree2D;
 use pwe_delaunay::{triangulate_baseline, triangulate_write_efficient};
 use pwe_geom::generators::{
     random_intervals, random_query_rects, random_three_sided_queries, stabbing_queries,
-    uniform_grid_points, uniform_points_2d,
 };
 use pwe_geom::interval::Interval;
 use pwe_kdtree::build::{build_classic, build_p_batched, recommended_p};
 use pwe_sort::{incremental_sort, merge_sort_baseline, merge_sort_baseline_with_scratch};
 use pwe_trace::trace_collect_scratch;
-use rand::Rng;
-use rand::SeedableRng;
 
 /// One row of an experiment table.
 #[derive(Debug, Clone)]
@@ -41,6 +42,15 @@ pub struct Row {
 }
 
 impl Row {
+    /// A row of `report` measured at size `n`.
+    pub fn new(label: impl Into<String>, n: usize, report: CostReport) -> Row {
+        Row {
+            label: label.into(),
+            n,
+            report,
+        }
+    }
+
     /// Render the row for the plain-text tables the harness prints.
     pub fn render(&self) -> String {
         format!(
@@ -65,59 +75,182 @@ pub fn print_table(title: &str, rows: &[Row]) {
     }
 }
 
+/// Seeded inputs, one definition per family, shared by the experiments,
+/// the sweep pairs, `speedup` and the criterion benches.
+pub mod inputs {
+    use pwe_augtree::priority::PsPoint;
+    use pwe_augtree::range_tree::RtPoint;
+    use pwe_geom::generators::{random_intervals, uniform_grid_points, uniform_points_2d};
+    use pwe_geom::interval::Interval;
+    use pwe_geom::point::{GridPoint, Point2};
+    use pwe_geom::predicates::is_ccw;
+    use pwe_geom::Rect;
+    use rand::{Rng, SeedableRng};
+
+    /// `n` uniformly random sort keys.
+    pub fn keys(n: usize, seed: u64) -> Vec<u64> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..n).map(|_| rng.gen()).collect()
+    }
+
+    /// `n` distinct Delaunay sites on the 2^20 grid.
+    pub fn sites(n: usize) -> Vec<GridPoint> {
+        uniform_grid_points(n, 1 << 20, 3)
+    }
+
+    /// `n` intervals of length ≤ 200 over [0, 10^6].
+    pub fn intervals(n: usize) -> Vec<Interval> {
+        random_intervals(n, 1e6, 200.0, 17)
+    }
+
+    /// `n` uniform points of the unit square, the k-d tree input.
+    pub fn kd_points(n: usize) -> Vec<Point2> {
+        uniform_points_2d(n, 11)
+    }
+
+    /// `n` uniform points of the unit square tagged with ids `first_id..`.
+    fn tagged<T>(n: usize, seed: u64, first_id: usize, tag: fn(Point2, u64) -> T) -> Vec<T> {
+        let points = uniform_points_2d(n, seed).into_iter();
+        points
+            .zip(first_id as u64..)
+            .map(|(p, id)| tag(p, id))
+            .collect()
+    }
+
+    /// `n` priority-search-tree points with ids `0..n`.
+    pub fn ps_points(n: usize) -> Vec<PsPoint> {
+        tagged(n, 23, 0, |point, id| PsPoint { point, id })
+    }
+
+    /// The `n / 10` points inserted into a priority search tree of `n`.
+    pub fn ps_inserts(n: usize) -> Vec<PsPoint> {
+        tagged(n / 10, 25, n, |point, id| PsPoint { point, id })
+    }
+
+    /// `n` range-tree points with ids `0..n`.
+    pub fn rt_points(n: usize) -> Vec<RtPoint> {
+        tagged(n, 31, 0, |point, id| RtPoint { point, id })
+    }
+
+    /// The `n / 10` points inserted into a range tree of `n`.
+    pub fn rt_inserts(n: usize) -> Vec<RtPoint> {
+        tagged(n / 10, 33, n, |point, id| RtPoint { point, id })
+    }
+
+    /// `count` wide-x, thin-y query rectangles of the unit square: many
+    /// fully-contained critical nodes, so a range-tree query stream spends
+    /// its time in the outer descent and the inner run searches while the
+    /// answer sets stay small.
+    pub fn thin_rects(count: usize) -> Vec<Rect> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+        (0..count)
+            .map(|_| {
+                let w = rng.gen_range(0.05..0.25);
+                let h = rng.gen_range(0.0001..0.001);
+                let x = rng.gen_range(0.0..(1.0 - w));
+                let y = rng.gen_range(0.0..(1.0 - h));
+                Rect::new(x, x + w, y, y + h)
+            })
+            .collect()
+    }
+
+    /// The fixed CCW triangles of the in-circle predicate streams.
+    pub fn ccw_triangles() -> Vec<[GridPoint; 3]> {
+        let points = uniform_grid_points(144, 1 << 20, 7);
+        let ccw = |[a, b, c]: [GridPoint; 3]| is_ccw(a, b, c).then_some([a, b, c]);
+        let triangle =
+            |t: &[GridPoint]| ccw([t[0], t[1], t[2]]).or_else(|| ccw([t[0], t[2], t[1]]));
+        points.chunks_exact(3).filter_map(triangle).collect()
+    }
+
+    /// `count` in-circle query points on the triangles' grid.
+    pub fn grid_queries(count: usize) -> Vec<GridPoint> {
+        uniform_grid_points(count, 1 << 20, 73)
+    }
+}
+
+/// The (baseline, write-efficient) pairs: `speedup --sweep` sweeps all of
+/// them, `theorems` reports `sort` and `delaunay`.  The augmented-tree
+/// pairs compare the classic per-level-copy constructions against the
+/// parallel allocation-lean engine of `pwe_augtree::engine` (the range
+/// tree's baseline is the textbook α = 2 build, where every node carries an
+/// inner structure; the engine builds at α = 8).
+pub const PAIRS: &[&str] = &["delaunay", "sort", "interval", "priority", "range"];
+
+/// Measure one of [`PAIRS`] on its input of size `n`: the baseline, then
+/// the write-efficient variant.
+pub fn measure_pair(pair: &str, n: usize, omega: Omega) -> (CostReport, CostReport) {
+    fn both<I, A, B>(
+        omega: Omega,
+        input: I,
+        base: impl FnOnce(&I) -> A,
+        we: impl FnOnce(&I) -> B,
+    ) -> (CostReport, CostReport) {
+        (
+            measure(omega, || base(&input)).1,
+            measure(omega, || we(&input)).1,
+        )
+    }
+    match pair {
+        "delaunay" => both(
+            omega,
+            inputs::sites(n),
+            |p| triangulate_baseline(p, 5),
+            |p| triangulate_write_efficient(p, 5),
+        ),
+        "sort" => both(
+            omega,
+            inputs::keys(n, 42),
+            |k| merge_sort_baseline(k),
+            |k| incremental_sort(k, 7),
+        ),
+        "interval" => both(
+            omega,
+            inputs::intervals(n),
+            |i| IntervalTree::build_classic(i, 2),
+            |i| IntervalTree::build_parallel(i, 2),
+        ),
+        "priority" => both(
+            omega,
+            inputs::ps_points(n),
+            |p| PrioritySearchTree::build_classic(p),
+            |p| PrioritySearchTree::build_parallel(p),
+        ),
+        "range" => both(
+            omega,
+            inputs::rt_points(n),
+            |p| RangeTree2D::build_classic(p, 2),
+            |p| RangeTree2D::build(p, 8),
+        ),
+        other => panic!("unknown pair {other:?}; expected one of {PAIRS:?}"),
+    }
+}
+
 /// Experiment E-sort (Theorem 4.1): incremental sort vs merge-sort baseline.
 pub fn sort_experiment(n: usize, omega: Omega) -> Vec<Row> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-    let keys: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
-    let (_, merge) = measure(omega, || merge_sort_baseline(&keys));
-    let (_, incr) = measure(omega, || incremental_sort(&keys, 7));
+    let (merge, incr) = measure_pair("sort", n, omega);
     vec![
-        Row {
-            label: "sort/merge-sort (baseline)".into(),
-            n,
-            report: merge,
-        },
-        Row {
-            label: "sort/incremental (write-efficient)".into(),
-            n,
-            report: incr,
-        },
+        Row::new("sort/merge-sort (baseline)", n, merge),
+        Row::new("sort/incremental (write-efficient)", n, incr),
     ]
 }
 
 /// Experiment E-dt (Theorem 5.1): baseline vs write-efficient Delaunay.
 pub fn delaunay_experiment(n: usize, omega: Omega) -> Vec<Row> {
-    let points = uniform_grid_points(n, 1 << 20, 3);
-    let (_, base) = measure(omega, || triangulate_baseline(&points, 5));
-    let (_, we) = measure(omega, || triangulate_write_efficient(&points, 5));
+    let (base, we) = measure_pair("delaunay", n, omega);
     vec![
-        Row {
-            label: "delaunay/ParIncrementalDT (baseline)".into(),
-            n,
-            report: base,
-        },
-        Row {
-            label: "delaunay/write-efficient".into(),
-            n,
-            report: we,
-        },
+        Row::new("delaunay/ParIncrementalDT (baseline)", n, base),
+        Row::new("delaunay/write-efficient", n, we),
     ]
 }
 
 /// Experiment E-kd (Theorem 6.1): classic vs p-batched k-d construction, with
 /// a p-ablation, plus the resulting tree heights.
 pub fn kdtree_experiment(n: usize, omega: Omega) -> (Vec<Row>, Vec<String>) {
-    let points = uniform_points_2d(n, 11);
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
-
+    let points = inputs::kd_points(n);
     let (classic, classic_report) = measure(omega, || build_classic(&points, 16));
-    rows.push(Row {
-        label: "kdtree/classic (baseline)".into(),
-        n,
-        report: classic_report,
-    });
-    notes.push(format!("classic height = {}", classic.height()));
+    let mut rows = vec![Row::new("kdtree/classic (baseline)", n, classic_report)];
+    let mut notes = vec![format!("classic height = {}", classic.height())];
 
     let log_n = (n.max(2) as f64).log2().ceil() as usize;
     for (name, p) in [
@@ -127,11 +260,7 @@ pub fn kdtree_experiment(n: usize, omega: Omega) -> (Vec<Row>, Vec<String>) {
         ("p=log^3 n (paper)", recommended_p(n)),
     ] {
         let ((tree, _), report) = measure(omega, || build_p_batched(&points, p, 16, 13));
-        rows.push(Row {
-            label: format!("kdtree/p-batched {name}"),
-            n,
-            report,
-        });
+        rows.push(Row::new(format!("kdtree/p-batched {name}"), n, report));
         notes.push(format!("p-batched {name}: height = {}", tree.height()));
     }
     (rows, notes)
@@ -141,49 +270,30 @@ pub fn kdtree_experiment(n: usize, omega: Omega) -> (Vec<Row>, Vec<String>) {
 /// tree: construction (classic vs post-sorted), query and update costs as a
 /// function of α.
 pub fn interval_experiment(n: usize, alphas: &[usize], omega: Omega) -> Vec<Row> {
-    let intervals = random_intervals(n, 1e6, 200.0, 17);
+    let intervals = inputs::intervals(n);
     let queries = stabbing_queries(1000, 1e6, 18);
     let updates = random_intervals(n / 10, 1e6, 200.0, 19);
-    let mut rows = Vec::new();
-
     let (_, classic) = measure(omega, || IntervalTree::build_classic(&intervals, 2));
-    rows.push(Row {
-        label: "interval/classic construction".into(),
-        n,
-        report: classic,
-    });
     let (_, presorted) = measure(omega, || IntervalTree::build_presorted(&intervals, 2));
-    rows.push(Row {
-        label: "interval/post-sorted construction".into(),
-        n,
-        report: presorted,
-    });
+    let mut rows = vec![
+        Row::new("interval/classic construction", n, classic),
+        Row::new("interval/post-sorted construction", n, presorted),
+    ];
 
     for &alpha in alphas {
         let mut tree = IntervalTree::build_presorted(&intervals, alpha);
         let (_, query_cost) = measure(omega, || {
-            let mut total = 0usize;
-            for &q in &queries {
-                total += tree.stab(q).len();
-            }
-            total
+            queries.iter().map(|&q| tree.stab(q).len()).sum::<usize>()
         });
-        rows.push(Row {
-            label: format!("interval/α={alpha} {} stabbing queries", queries.len()),
-            n,
-            report: query_cost,
-        });
+        let label = format!("interval/α={alpha} {} stabbing queries", queries.len());
+        rows.push(Row::new(label, n, query_cost));
         let (_, update_cost) = measure(omega, || {
             for (i, s) in updates.iter().enumerate() {
-                let s = Interval::new(s.left, s.right, 1_000_000 + i as u64);
-                tree.insert(&s);
+                tree.insert(&Interval::new(s.left, s.right, 1_000_000 + i as u64));
             }
         });
-        rows.push(Row {
-            label: format!("interval/α={alpha} {} insertions", updates.len()),
-            n,
-            report: update_cost,
-        });
+        let label = format!("interval/α={alpha} {} insertions", updates.len());
+        rows.push(Row::new(label, n, update_cost));
     }
     rows
 }
@@ -191,120 +301,57 @@ pub fn interval_experiment(n: usize, alphas: &[usize], omega: Omega) -> Vec<Row>
 /// Experiments T1-priority: construction and query costs of the priority
 /// search tree.
 pub fn priority_experiment(n: usize, omega: Omega) -> Vec<Row> {
-    let points: Vec<PsPoint> = uniform_points_2d(n, 23)
-        .into_iter()
-        .enumerate()
-        .map(|(i, point)| PsPoint {
-            point,
-            id: i as u64,
-        })
-        .collect();
+    let points = inputs::ps_points(n);
     let queries = random_three_sided_queries(1000, 0.2, 24);
-    let mut rows = Vec::new();
-
     let (_, classic) = measure(omega, || PrioritySearchTree::build_classic(&points));
-    rows.push(Row {
-        label: "priority/classic construction".into(),
-        n,
-        report: classic,
-    });
-    let (tree, presorted) = measure(omega, || PrioritySearchTree::build_presorted(&points));
-    rows.push(Row {
-        label: "priority/post-sorted construction".into(),
-        n,
-        report: presorted,
-    });
-
+    let (mut tree, presorted) = measure(omega, || PrioritySearchTree::build_presorted(&points));
     let (_, query_cost) = measure(omega, || {
-        let mut total = 0usize;
-        for &(lo, hi, y) in &queries {
-            total += tree.query_3sided(lo, hi, y).len();
-        }
-        total
+        let answers = queries
+            .iter()
+            .map(|&(lo, hi, y)| tree.query_3sided(lo, hi, y).len());
+        answers.sum::<usize>()
     });
-    rows.push(Row {
-        label: format!("priority/{} 3-sided queries", queries.len()),
-        n,
-        report: query_cost,
-    });
-
-    let mut tree = tree;
-    let extra: Vec<PsPoint> = uniform_points_2d(n / 10, 25)
-        .into_iter()
-        .enumerate()
-        .map(|(i, point)| PsPoint {
-            point,
-            id: (n + i) as u64,
-        })
-        .collect();
+    let extra = inputs::ps_inserts(n);
     let (_, update_cost) = measure(omega, || {
-        for p in &extra {
+        extra.iter().for_each(|p| {
             tree.insert(*p);
-        }
+        })
     });
-    rows.push(Row {
-        label: format!("priority/{} insertions", extra.len()),
-        n,
-        report: update_cost,
-    });
-    rows
+    let queries_label = format!("priority/{} 3-sided queries", queries.len());
+    let inserts_label = format!("priority/{} insertions", extra.len());
+    vec![
+        Row::new("priority/classic construction", n, classic),
+        Row::new("priority/post-sorted construction", n, presorted),
+        Row::new(queries_label, n, query_cost),
+        Row::new(inserts_label, n, update_cost),
+    ]
 }
 
 /// Experiments T1-range: range-tree construction, query and update costs as a
 /// function of α.
 pub fn range_tree_experiment(n: usize, alphas: &[usize], omega: Omega) -> Vec<Row> {
-    let points: Vec<RtPoint> = uniform_points_2d(n, 31)
-        .into_iter()
-        .enumerate()
-        .map(|(i, point)| RtPoint {
-            point,
-            id: i as u64,
-        })
-        .collect();
+    let points = inputs::rt_points(n);
     let rects = random_query_rects(500, 0.1, 32);
-    let extra: Vec<RtPoint> = uniform_points_2d(n / 10, 33)
-        .into_iter()
-        .enumerate()
-        .map(|(i, point)| RtPoint {
-            point,
-            id: (n + i) as u64,
-        })
-        .collect();
+    let extra = inputs::rt_inserts(n);
     let mut rows = Vec::new();
 
     for &alpha in alphas {
-        let (tree, construct) = measure(omega, || RangeTree2D::build(&points, alpha));
-        rows.push(Row {
-            label: format!(
-                "range-tree/α={alpha} construction (aug size {})",
-                tree.augmentation_size()
-            ),
-            n,
-            report: construct,
-        });
+        let (mut tree, construct) = measure(omega, || RangeTree2D::build(&points, alpha));
+        let aug = tree.augmentation_size();
+        let label = format!("range-tree/α={alpha} construction (aug size {aug})");
+        rows.push(Row::new(label, n, construct));
         let (_, query_cost) = measure(omega, || {
-            let mut total = 0usize;
-            for rect in &rects {
-                total += tree.query(rect).len();
-            }
-            total
+            rects.iter().map(|r| tree.query(r).len()).sum::<usize>()
         });
-        rows.push(Row {
-            label: format!("range-tree/α={alpha} {} range queries", rects.len()),
-            n,
-            report: query_cost,
-        });
-        let mut tree = tree;
+        let label = format!("range-tree/α={alpha} {} range queries", rects.len());
+        rows.push(Row::new(label, n, query_cost));
         let (_, update_cost) = measure(omega, || {
-            for p in &extra {
+            extra.iter().for_each(|p| {
                 tree.insert(*p);
-            }
+            })
         });
-        rows.push(Row {
-            label: format!("range-tree/α={alpha} {} insertions", extra.len()),
-            n,
-            report: update_cost,
-        });
+        let label = format!("range-tree/α={alpha} {} insertions", extra.len());
+        rows.push(Row::new(label, n, update_cost));
     }
     rows
 }
@@ -355,125 +402,63 @@ pub fn print_smallmem_table(title: &str, rows: &[SmallMemRow]) {
 /// mark — the machine-checked form of the paper's small-memory assumptions
 /// (Theorems 3.1, 4.1, 5.1, 6.1, 7.1).
 pub fn smallmem_experiment(n: usize) -> Vec<SmallMemRow> {
-    let mut rows = Vec::new();
-
     // Sorting (Theorem 4.1): O(log n) words per task.
-    let keys = {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(71);
-        (0..n).map(|_| rng.gen::<u64>()).collect::<Vec<u64>>()
-    };
-    let (_, merge_scratch) = merge_sort_baseline_with_scratch(&keys);
-    rows.push(SmallMemRow {
-        label: "mergesort baseline".into(),
-        n,
-        bound: "c*log2 n",
-        scratch: merge_scratch,
-    });
-    let (_, sort_stats) = pwe_sort::incremental_sort_with_stats(&keys, 7);
-    rows.push(SmallMemRow {
-        label: "incremental sort".into(),
-        n,
-        bound: "c*log2 n",
-        scratch: sort_stats.scratch,
-    });
+    let keys = inputs::keys(n, 71);
+    let (_, merge) = merge_sort_baseline_with_scratch(&keys);
+    let (_, sort) = pwe_sort::incremental_sort_with_stats(&keys, 7);
 
     // Delaunay engine (Theorem 5.1): O(log n) words per cavity task.
     let dn = n.min(20_000);
-    let points = uniform_grid_points(dn, 1 << 20, 3);
-    let (mesh, dt_stats) = pwe_delaunay::triangulate_write_efficient_with_stats(&points, 5);
-    rows.push(SmallMemRow {
-        label: "delaunay engine (WE)".into(),
-        n: dn,
-        bound: "c*log2 n",
-        scratch: dt_stats.insert.scratch,
-    });
+    let (mesh, dt) = pwe_delaunay::triangulate_write_efficient_with_stats(&inputs::sites(dn), 5);
 
     // k-d tree (Theorem 6.1): classic O(log n); p-batched Ω(p).
-    let pts2 = uniform_points_2d(n, 11);
-    let (_, classic_stats) = pwe_kdtree::build::build_classic_with_stats(&pts2, 16);
-    rows.push(SmallMemRow {
-        label: "kd classic build".into(),
-        n,
-        bound: "c*log2 n",
-        scratch: classic_stats.scratch,
-    });
-    let (_, batched_stats) = build_p_batched(&pts2, recommended_p(n), 16, 13);
-    rows.push(SmallMemRow {
-        label: "kd p-batched build".into(),
-        n,
-        bound: "Omega(p)",
-        scratch: batched_stats.scratch,
-    });
+    let pts2 = inputs::kd_points(n);
+    let (_, kd_classic) = pwe_kdtree::build::build_classic_with_stats(&pts2, 16);
+    let (_, kd_batched) = build_p_batched(&pts2, recommended_p(n), 16, 13);
 
     // Augmented-tree query paths (Theorem 7.1): O(log n) words per query.
-    let intervals = random_intervals(n, 1e6, 200.0, 17);
+    let intervals = inputs::intervals(n);
     let tree = IntervalTree::build_presorted(&intervals, 2);
-    let ledger = SmallMem::logarithmic(n, pwe_augtree::QUERY_SCRATCH_C);
+    let stab = SmallMem::logarithmic(n, pwe_augtree::QUERY_SCRATCH_C);
     for &q in &stabbing_queries(64, 1e6, 19) {
-        let mut scratch = TaskScratch::new(&ledger);
+        let mut scratch = TaskScratch::new(&stab);
         tree.stab_scratch(q, &mut scratch);
     }
-    rows.push(SmallMemRow {
-        label: "interval stab queries".into(),
-        n,
-        bound: "c*log2 n",
-        scratch: ledger.report(),
-    });
 
     // Augmented-tree parallel builds (shared engine): forked-recursion
     // frames at O(log n), plus O(α) k-way-merge cursors on the range tree.
-    let (_, iv_build) = IntervalTree::build_parallel_with_stats(&intervals, 2);
-    rows.push(SmallMemRow {
-        label: "interval engine build".into(),
-        n,
-        bound: "c*log2 n",
-        scratch: iv_build.scratch,
-    });
-    let ps_points: Vec<pwe_augtree::priority::PsPoint> = uniform_points_2d(n, 23)
-        .into_iter()
-        .enumerate()
-        .map(|(i, point)| pwe_augtree::priority::PsPoint {
-            point,
-            id: i as u64,
-        })
-        .collect();
-    let (_, ps_build) = PrioritySearchTree::build_parallel_with_stats(&ps_points);
-    rows.push(SmallMemRow {
-        label: "priority engine build".into(),
-        n,
-        bound: "c*log2 n",
-        scratch: ps_build.scratch,
-    });
-    let rt_points: Vec<pwe_augtree::range_tree::RtPoint> = uniform_points_2d(n, 31)
-        .into_iter()
-        .enumerate()
-        .map(|(i, point)| pwe_augtree::range_tree::RtPoint {
-            point,
-            id: i as u64,
-        })
-        .collect();
-    let (_, rt_build) = RangeTree2D::build_with_stats(&rt_points, 8);
-    rows.push(SmallMemRow {
-        label: "range engine build".into(),
-        n,
-        bound: "c*log2 n + c*alpha",
-        scratch: rt_build.scratch,
-    });
+    let (_, iv) = IntervalTree::build_parallel_with_stats(&intervals, 2);
+    let (_, ps) = PrioritySearchTree::build_parallel_with_stats(&inputs::ps_points(n));
+    let (_, rt) = RangeTree2D::build_with_stats(&inputs::rt_points(n), 8);
 
     // DAG tracing (Theorem 3.1): O(D(G)) words — the Delaunay history DAG
     // built above bounds the trace stack by its longest path.
     let depth_bound = 4 * (pwe_asym::depth::log2_ceil(dn.max(2)) + 1);
-    let trace_ledger = SmallMem::with_budget(4 * depth_bound);
+    let trace = SmallMem::with_budget(4 * depth_bound);
     let elements: Vec<u32> = (3..(dn as u32 + 3).min(259)).collect();
-    trace_collect_scratch(&mesh, &elements, Some(&trace_ledger));
-    rows.push(SmallMemRow {
-        label: "DAG tracing (history)".into(),
-        n: dn,
-        bound: "O(D(G))",
-        scratch: trace_ledger.report(),
-    });
+    trace_collect_scratch(&mesh, &elements, Some(&trace));
 
-    rows
+    let log = "c*log2 n";
+    [
+        ("mergesort baseline", n, log, merge),
+        ("incremental sort", n, log, sort.scratch),
+        ("delaunay engine (WE)", dn, log, dt.insert.scratch),
+        ("kd classic build", n, log, kd_classic.scratch),
+        ("kd p-batched build", n, "Omega(p)", kd_batched.scratch),
+        ("interval stab queries", n, log, stab.report()),
+        ("interval engine build", n, log, iv.scratch),
+        ("priority engine build", n, log, ps.scratch),
+        ("range engine build", n, "c*log2 n + c*alpha", rt.scratch),
+        ("DAG tracing (history)", dn, "O(D(G))", trace.report()),
+    ]
+    .into_iter()
+    .map(|(label, n, bound, scratch)| SmallMemRow {
+        label: label.into(),
+        n,
+        bound,
+        scratch,
+    })
+    .collect()
 }
 
 #[cfg(test)]

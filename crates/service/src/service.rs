@@ -37,7 +37,8 @@ use rayon::prelude::*;
 
 use pwe_geom::point::GridPoint;
 use pwe_primitives::epoch::EpochCell;
-use pwe_primitives::{faultpoint, racecheck};
+use pwe_primitives::faultpoint::{self, InjectedFault};
+use pwe_primitives::racecheck;
 use std::sync::Arc;
 
 use crate::api::{
@@ -335,7 +336,7 @@ impl GeometryService {
         // The replicated mesh rebuilds sequentially in the writer (it is
         // one engine run, internally parallel), under the same contract.
         if w.sites_dirty && (!w.mesh_health.quarantined || w.tick >= w.mesh_health.retry_at_tick) {
-            match contained_mesh_build(&w.sites, &w.site_ids) {
+            match contained(|| MeshGen::try_build(&w.sites, &w.site_ids)) {
                 Ok(m) => {
                     w.mesh_built = m;
                     w.sites_dirty = false;
@@ -488,24 +489,10 @@ impl GeometryService {
 /// reads the replicated mesh.
 fn answer_one(g: &ServiceGen, q: &Query) -> Answer {
     match *q {
-        Query::Stab { x } => {
-            let mut ids: Vec<u64> = g.shards.iter().flat_map(|s| s.stab(x)).collect();
-            ids.sort_unstable();
-            Answer::Ids(ids)
-        }
-        Query::Range2D { rect } => {
-            let mut ids: Vec<u64> = g.shards.iter().flat_map(|s| s.range2d(&rect)).collect();
-            ids.sort_unstable();
-            Answer::Ids(ids)
-        }
+        Query::Stab { x } => merged_ids(g, |s| s.stab(x)),
+        Query::Range2D { rect } => merged_ids(g, |s| s.range2d(&rect)),
         Query::ThreeSided { x_lo, x_hi, y_bot } => {
-            let mut ids: Vec<u64> = g
-                .shards
-                .iter()
-                .flat_map(|s| s.three_sided(x_lo, x_hi, y_bot))
-                .collect();
-            ids.sort_unstable();
-            Answer::Ids(ids)
+            merged_ids(g, |s| s.three_sided(x_lo, x_hi, y_bot))
         }
         Query::Nearest { x, y } => {
             let best = g
@@ -517,6 +504,14 @@ fn answer_one(g: &ServiceGen, q: &Query) -> Answer {
         }
         Query::Locate { x, y } => Answer::Located(g.mesh.locate(GridPoint::new(x, y))),
     }
+}
+
+/// The one cross-shard merge of id-reporting queries: every shard's
+/// answer concatenated, then sorted into the canonical ascending order.
+fn merged_ids(g: &ServiceGen, per_shard: impl Fn(&ShardGen) -> Vec<u64>) -> Answer {
+    let mut ids: Vec<u64> = g.shards.iter().flat_map(|s| per_shard(s)).collect();
+    ids.sort_unstable();
+    Answer::Ids(ids)
 }
 
 /// Canonical nearest-hit order: squared distance, then id.  Distances are
@@ -539,38 +534,20 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One contained shard rebuild attempt: run the fallible build under
-/// `catch_unwind`, mapping both failure shapes (injected error, caught
-/// panic) to the quarantine cause.  No panic crosses this function — that
-/// is the "zero panics escape the writer loop" guarantee.
-fn contained_build(data: &ShardData, shard: usize) -> Result<Arc<ShardGen>, String> {
-    // UnwindSafe audit: the closure only *reads* `data` (shared borrow of
-    // plain element vectors — nothing is mutated across the unwind
-    // boundary, so no caller-visible invariant can be observed broken);
-    // the builders write exclusively into locals that unwinding frees,
-    // and the process-wide state they touch (rayon pool, racecheck
+/// One contained rebuild attempt (a shard or the mesh): run the fallible
+/// build under `catch_unwind`, mapping both failure shapes (injected error,
+/// caught panic) to the quarantine cause.  No panic crosses this function —
+/// that is the "zero panics escape the writer loop" guarantee.
+fn contained<T>(build: impl FnOnce() -> Result<T, InjectedFault>) -> Result<Arc<T>, String> {
+    // UnwindSafe audit: the callers' closures only *read* their captures
+    // (shared borrows of plain element vectors — nothing is mutated across
+    // the unwind boundary, so no caller-visible invariant can be observed
+    // broken); the builders write exclusively into locals that unwinding
+    // frees, and the process-wide state they touch (rayon pool, racecheck
     // ledger, faultpoint counters, epoch retired lists) keeps its
     // invariants across unwinds via its own locking and poison recovery.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        ShardGen::try_build(data, shard as u64)
-    }));
-    match result {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)) {
         Ok(Ok(g)) => Ok(Arc::new(g)),
-        Ok(Err(fault)) => Err(fault.to_string()),
-        Err(payload) => Err(panic_message(payload)),
-    }
-}
-
-/// One contained mesh rebuild attempt; same contract as
-/// [`contained_build`].
-fn contained_mesh_build(sites: &[GridPoint], site_ids: &[u64]) -> Result<Arc<MeshGen>, String> {
-    // UnwindSafe audit: identical to `contained_build` — read-only
-    // captures, locals freed by unwinding, shared state panic-tolerant.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        MeshGen::try_build(sites, site_ids)
-    }));
-    match result {
-        Ok(Ok(m)) => Ok(Arc::new(m)),
         Ok(Err(fault)) => Err(fault.to_string()),
         Err(payload) => Err(panic_message(payload)),
     }
@@ -596,14 +573,14 @@ fn rebuild_jobs(data: &[ShardData], jobs: &mut [RebuildSlot]) {
     // unification can arm the ledger workspace-wide.
     if racecheck::ENABLED {
         for (i, slot) in jobs.iter_mut() {
-            *slot = Some(contained_build(&data[*i], *i));
+            *slot = Some(contained(|| ShardGen::try_build(&data[*i], *i as u64)));
         }
         return;
     }
     match jobs {
         [] => {}
         [(i, slot)] => {
-            *slot = Some(contained_build(&data[*i], *i));
+            *slot = Some(contained(|| ShardGen::try_build(&data[*i], *i as u64)));
         }
         _ => {
             let mid = jobs.len() / 2;

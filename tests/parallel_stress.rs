@@ -1,19 +1,14 @@
 //! Counter/depth correctness under real concurrency.
 //!
-//! The read/write ledger of `pwe_asym::counters` is a pair of global relaxed
-//! atomics and the depth ledger composes spans over `par_join`; both claim
-//! to be *schedule-independent*: running an algorithm on one thread or on
-//! the whole work-stealing pool must record identical read/write totals and
-//! a parallel depth no larger than the sequential one (span max-composition
+//! The read/write and depth ledgers of `pwe_asym` claim to be
+//! *schedule-independent*: running an algorithm on one thread or on the
+//! whole work-stealing pool must record identical read/write totals and a
+//! parallel depth no larger than the sequential one (span max-composition
 //! can only shrink the serial sum).  These tests pin that down by running
 //! the same workload twice in one process — once inside
 //! `rayon::with_sequential` (everything inline on this thread) and once on
-//! the pool — and diffing the global counters around each run.
-//!
-//! The counters are process-global, so each test takes a shared lock and
-//! this file keeps all counter-sensitive assertions in one integration-test
-//! binary: cargo runs test *binaries* sequentially, which makes the
-//! snapshots race-free without any changes to the production counters.
+//! the pool — and differencing the calling task tree's ledgers around each
+//! run, which concurrent tests never charge.
 
 use std::sync::Mutex;
 
@@ -26,8 +21,6 @@ use pwe_kdtree::build::{build_p_batched, recommended_p};
 use pwe_primitives::scan::par_exclusive_scan;
 use pwe_primitives::semisort::semisort_by_key;
 use pwe_sort::incremental_sort;
-
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
 struct RunCost {
     reads: u64,
@@ -62,7 +55,6 @@ fn assert_schedule_independent<T: PartialEq + std::fmt::Debug>(
     name: &str,
     workload: impl Fn() -> T,
 ) {
-    let _guard = COUNTER_LOCK.lock().unwrap();
     let ((seq_out, seq_cost), (par_out, par_cost)) = seq_then_par(workload);
     assert_eq!(seq_out, par_out, "{name}: outputs differ across schedules");
     assert_eq!(
